@@ -177,6 +177,29 @@ pub struct Cli {
     pub rest: Vec<String>,
 }
 
+/// Restores the default `SIGPIPE` disposition, so a binary whose stdout
+/// is closed early (`sweep default | head -1`) ends quietly, as Unix
+/// filters do. The Rust runtime ignores `SIGPIPE` at start-up, which
+/// turns the closed pipe into an `EPIPE` error that `println!` panics on
+/// (exit 101, "failed printing to stdout").
+#[cfg(unix)]
+fn default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `SIG_DFL` installs no handler code, only the kernel's
+    // default action. A failed call returns SIG_ERR, which leaves the
+    // runtime's `SIG_IGN` in place (the old behaviour).
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn default_sigpipe() {}
+
 impl Cli {
     /// Default on-disk budget for the profile cache, enforced by a gc
     /// pass every time a store is opened: 256 MiB holds thousands of
@@ -184,9 +207,11 @@ impl Cli {
     pub const STORE_GC_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
     /// Parses `std::env::args()` and initializes the log filter
-    /// (`--quiet` wins over `LP_LOG`).
+    /// (`--quiet` wins over `LP_LOG`). Also restores the default
+    /// `SIGPIPE` action, so a closed stdout ends the process quietly.
     #[must_use]
     pub fn parse() -> Cli {
+        default_sigpipe();
         Cli::parse_from(std::env::args().skip(1))
     }
 

@@ -354,3 +354,41 @@ fn invalid_profile_cache_mode_exits_2() {
         "LP_PROFILE_CACHE=\"frobnicate\" is not a store mode (expected off|ro|rw)\n"
     );
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `sweep default --quiet | head -1` used to panic in `println!`
+    // ("failed printing to stdout: Broken pipe", exit 101). The read end
+    // is closed before the child starts, so its first write hits EPIPE.
+    let invocations: [(&str, &[&str]); 2] = [
+        ("sweep", &["test", "--suite", "eembc", "--quiet"]),
+        ("lpstudy", &["--bench", "eembc.matrix01", "--quiet"]),
+    ];
+    for (binary, args) in invocations {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(exe(binary))
+            .args(args)
+            .env_remove("LP_LOG")
+            .env_remove("LP_PROFILE_CACHE")
+            .env_remove("LP_ENGINE")
+            .stdout(writer)
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"));
+        assert_eq!(
+            stderr_of(&out),
+            "",
+            "{binary} must end quietly on a closed stdout"
+        );
+        assert_ne!(out.status.code(), Some(101), "{binary} panicked");
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            assert!(
+                out.status.success() || out.status.signal() == Some(13),
+                "{binary}: expected success or SIGPIPE, got {:?}",
+                out.status
+            );
+        }
+    }
+}

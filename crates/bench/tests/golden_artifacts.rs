@@ -12,6 +12,7 @@
 //! cargo run --release -p lp-bench --bin lpstudy -- --trace-out results/trace-quickstart.json
 //! cargo run --release -p lp-bench --bin lpstudy -- replay test --jobs 2 \
 //!   --replay-out results/replay-quickstart.json
+//! cargo run --release -p lp-bench --bin sweep -- default --quiet > results/sweep.csv
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -101,6 +102,37 @@ fn explain_quickstart_json_is_engine_invariant() {
     );
     let _ = std::fs::remove_file(&json);
     let _ = std::fs::remove_file(json.with_extension("collapsed"));
+}
+
+/// The whole evaluated lattice at default scale — 55 programs × 3
+/// models × 32 configurations — must reproduce `results/sweep.csv` byte
+/// for byte. No other test pins evaluated values at this scale.
+#[test]
+fn sweep_default_regenerates_results_csv_byte_identically() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["default", "--quiet"])
+        .env("LP_LOG", "off")
+        .env_remove("LP_PROFILE_CACHE")
+        .env_remove("LP_ENGINE")
+        .output()
+        .expect("sweep runs");
+    assert!(
+        out.status.success(),
+        "sweep default failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fresh = String::from_utf8(out.stdout).expect("CSV is UTF-8");
+    let golden = std::fs::read_to_string(repo_root().join("results/sweep.csv")).unwrap();
+    assert_eq!(
+        fresh.lines().count(),
+        1 + 55 * 3 * 32,
+        "header + 5,280 rows"
+    );
+    assert!(
+        fresh == golden,
+        "sweep.csv drifted — first differing line: {:?}",
+        fresh.lines().zip(golden.lines()).find(|(a, b)| a != b)
+    );
 }
 
 /// The ordered `"name"` values of a Chrome trace — the structural

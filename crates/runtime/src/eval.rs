@@ -172,13 +172,29 @@ impl Causes {
 
 struct Evaluator<'p> {
     profile: &'p Profile,
-    model: ExecModel,
-    config: Config,
-    options: EvalOptions,
+    point: Point,
     loop_agg: Vec<LoopSummary>,
     /// Present only in explain mode; `None` keeps the normal path free of
     /// any attribution work.
     attr: Option<AttrCollector>,
+    /// The iteration-length stack. Each active loop instance owns the
+    /// slice above its parent's: its raw iteration lengths are pushed
+    /// once, each child's saving is subtracted in place, and the slice is
+    /// truncated when the instance returns. One allocation per
+    /// evaluation instead of several per loop instance.
+    lens: Vec<u64>,
+    /// Merge buffer for Partial-DOALL conflict lists that mispredicted
+    /// iterations join; reused across instances.
+    merged: Vec<u32>,
+}
+
+/// The `(model, config, options)` point being evaluated: everything the
+/// per-instance cost model reads besides the instance itself.
+#[derive(Clone, Copy)]
+struct Point {
+    model: ExecModel,
+    config: Config,
+    options: EvalOptions,
 }
 
 /// Evaluator behaviour knobs (ablations).
@@ -255,20 +271,16 @@ fn run(
     let t0 = reg.now_ns();
     let mut ev = Evaluator {
         profile,
-        model,
-        config,
-        options,
-        loop_agg: profile
-            .loop_meta
-            .iter()
-            .map(|m| LoopSummary {
-                func_name: m.func_name.clone(),
-                header: m.header,
-                depth: m.depth,
-                ..LoopSummary::default()
-            })
-            .collect(),
+        point: Point {
+            model,
+            config,
+            options,
+        },
+        // Names are attached only to the loops the report keeps.
+        loop_agg: vec![LoopSummary::default(); profile.loop_meta.len()],
         attr: explain.then(|| AttrCollector::new(profile.loop_meta.len(), profile.regions.len())),
+        lens: Vec::new(),
+        merged: Vec::new(),
     };
     let root = ev.eval_region(profile.root());
     let total = profile.total_cost.max(1);
@@ -296,13 +308,20 @@ fn run(
         loops: ev
             .loop_agg
             .into_iter()
-            .filter(|l| l.instances > 0)
+            .zip(&profile.loop_meta)
+            .filter(|(l, _)| l.instances > 0)
+            .map(|(l, m)| LoopSummary {
+                func_name: m.func_name.clone(),
+                header: m.header,
+                depth: m.depth,
+                ..l
+            })
             .collect(),
     };
     (report, attribution)
 }
 
-impl Evaluator<'_> {
+impl<'p> Evaluator<'p> {
     fn eval_region(&mut self, rid: RegionId) -> RegionEval {
         let region = self.profile.region(rid);
         match &region.kind {
@@ -325,32 +344,63 @@ impl Evaluator<'_> {
         }
     }
 
-    fn eval_loop(&mut self, rid: RegionId, region: &Region, inst: &LoopInstance) -> RegionEval {
-        let meta = &self.profile.loop_meta[inst.meta];
+    fn eval_loop(
+        &mut self,
+        rid: RegionId,
+        region: &'p Region,
+        inst: &'p LoopInstance,
+    ) -> RegionEval {
+        let profile = self.profile;
+        let meta = &profile.loop_meta[inst.meta];
         let n = inst.iterations();
-        let raw_lens = self.profile.iter_lengths(region, inst);
+
+        // Push the raw iteration lengths (iteration `k` spans
+        // `iter_starts[k] .. iter_starts[k+1]`, the last one ends at the
+        // region end), summing them on the way.
+        let base = self.lens.len();
+        let mut serial_adj = 0u64;
+        if let Some((&last, head)) = inst.iter_starts.split_last() {
+            let ends = inst.iter_starts[1..].iter();
+            self.lens.extend(head.iter().zip(ends).map(|(&s, &e)| {
+                let len = e.saturating_sub(s);
+                serial_adj += len;
+                len
+            }));
+            let len = region.end.saturating_sub(last);
+            serial_adj += len;
+            self.lens.push(len);
+        }
 
         // Fold children: inner savings shrink the iteration that contained
-        // them (multi-level nested parallelism).
-        let mut save = vec![0u64; n.max(1)];
+        // them (multi-level nested parallelism). Each child works above
+        // this slice of the stack and truncates back on return. Applying
+        // savings one at a time with `saturating_sub` is exact:
+        // `max(0, max(0, l − a) − b) = max(0, l − a − b)`. A loop with no
+        // iterations has nothing for a child to shrink.
         let mut child_covered = 0u64;
-        for &c in &region.children.clone() {
+        for &c in &region.children {
             let ce = self.eval_region(c);
-            let k = (self.profile.region(c).parent_iter as usize).min(n.saturating_sub(1));
-            save[k] += ce.serial - ce.best;
             child_covered += ce.covered;
+            if n > 0 {
+                let k = (profile.region(c).parent_iter as usize).min(n - 1);
+                let len = &mut self.lens[base + k];
+                let shrunk = len.saturating_sub(ce.serial - ce.best);
+                serial_adj -= *len - shrunk;
+                *len = shrunk;
+            }
         }
-        let adj: Vec<u64> = raw_lens
-            .iter()
-            .zip(&save)
-            .map(|(&len, &s)| len.saturating_sub(s))
-            .collect();
-        let serial_adj: u64 = adj.iter().sum();
+        let adj = &self.lens[base..];
 
         let mut causes = Causes::default();
         let collect = self.attr.is_some();
-        let parallel_cost =
-            self.loop_cost(meta, inst, &adj, Lift::NONE, collect.then_some(&mut causes));
+        let parallel_cost = self.point.loop_cost(
+            meta,
+            inst,
+            adj,
+            Lift::NONE,
+            &mut self.merged,
+            collect.then_some(&mut causes),
+        );
 
         let serial_raw = region.serial_cost();
         let (best, covered, parallel) = match parallel_cost {
@@ -364,13 +414,21 @@ impl Evaluator<'_> {
             // manifested cause is then re-costed with that cause alone
             // lifted; the savings feed the conserved gap allocation.
             let ideal = self
-                .loop_cost(meta, inst, &adj, Lift::ALL, None)
+                .point
+                .loop_cost(meta, inst, adj, Lift::ALL, &mut self.merged, None)
                 .map_or(serial_adj, |c| c.min(serial_adj));
             let gap = best.saturating_sub(ideal);
             let mut contribs: Vec<(LimiterKind, u64)> = Vec::new();
             if gap > 0 {
                 for kind in causes.kinds(inst.call_class) {
-                    let cf = self.loop_cost(meta, inst, &adj, Lift::for_kind(kind), None);
+                    let cf = self.point.loop_cost(
+                        meta,
+                        inst,
+                        adj,
+                        Lift::for_kind(kind),
+                        &mut self.merged,
+                        None,
+                    );
                     let cf_best = match cf {
                         Some(p) if p < serial_adj => p,
                         _ => serial_adj,
@@ -390,6 +448,7 @@ impl Evaluator<'_> {
                 &contribs,
             );
         }
+        self.lens.truncate(base);
 
         let agg = &mut self.loop_agg[inst.meta];
         agg.instances += 1;
@@ -404,7 +463,9 @@ impl Evaluator<'_> {
             covered,
         }
     }
+}
 
+impl Point {
     /// Models the parallel cost of one loop instance over its adjusted
     /// iteration lengths, with the causes named in `lift` removed.
     /// [`Lift::NONE`] reproduces the normal evaluation bit-for-bit;
@@ -416,6 +477,7 @@ impl Evaluator<'_> {
         inst: &LoopInstance,
         adj: &[u64],
         lift: Lift,
+        merged: &mut Vec<u32>,
         mut causes: Option<&mut Causes>,
     ) -> Option<u64> {
         // fn-flag gate.
@@ -444,7 +506,7 @@ impl Evaluator<'_> {
         let mut delta = if lift.mem { 0 } else { inst.mem_max_skew };
         let mut max_producer = if mem { inst.mem_max_producer_rel } else { 0 };
         let mut reg_lcd_synced = false;
-        let mut extra_conflicts: Vec<u32> = Vec::new();
+        merged.clear();
         for (idx, (_, class)) in meta.traced_phis.iter().enumerate() {
             let is_reduction = matches!(class, LcdClass::Reduction(_));
             if is_reduction && self.config.reduc == ReducMode::Reduc1 {
@@ -489,7 +551,7 @@ impl Evaluator<'_> {
                     if !lcd.mispredict_iters.is_empty() {
                         blame(&mut causes, true);
                         if !predicted_perfect {
-                            extra_conflicts.extend_from_slice(&lcd.mispredict_iters);
+                            merged.extend_from_slice(&lcd.mispredict_iters);
                         }
                     }
                 }
@@ -535,15 +597,23 @@ impl Evaluator<'_> {
                 doall_cost_bounded(adj, has_conflicts, forced, cores)
             }
             ExecModel::PartialDoall => {
-                let mut conflicts = if lift.mem {
-                    Vec::new()
+                // The memory conflicts are already sorted and deduplicated;
+                // only mispredicted iterations joining them need a merge.
+                let mem_conflicts: &[u32] = if lift.mem {
+                    &[]
                 } else {
-                    inst.mem_conflict_iters.clone()
+                    &inst.mem_conflict_iters
                 };
-                conflicts.extend_from_slice(&extra_conflicts);
-                conflicts.sort_unstable();
-                conflicts.dedup();
-                pdoall_cost_bounded(adj, &conflicts, forced, cores)
+                debug_assert!(mem_conflicts.windows(2).all(|w| w[0] < w[1]));
+                let conflicts = if merged.is_empty() {
+                    mem_conflicts
+                } else {
+                    merged.extend_from_slice(mem_conflicts);
+                    merged.sort_unstable();
+                    merged.dedup();
+                    &merged[..]
+                };
+                pdoall_cost_bounded(adj, conflicts, forced, cores)
             }
             ExecModel::Helix => helix_cost_bounded(adj, delta, forced, cores),
         }
@@ -551,7 +621,12 @@ impl Evaluator<'_> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/eval_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::reference_evaluate;
     use super::*;
     use crate::config::{Config, DepMode, ExecModel, FnMode, ReducMode};
     use crate::tracker::profile_module;
@@ -879,6 +954,215 @@ mod tests {
                 assert!(r.best_cost <= r.total_cost);
                 assert!((0.0..=100.0).contains(&r.coverage));
             }
+        }
+    }
+
+    /// One loop instance of a hand-built profile.
+    struct HandLoop {
+        parent: u32,
+        parent_iter: u32,
+        start: u64,
+        end: u64,
+        iter_starts: Vec<u64>,
+        mem_conflict_iters: Vec<u32>,
+        mem_max_skew: u64,
+    }
+
+    fn hand_loop(parent: u32, parent_iter: u32, span: (u64, u64), iter_starts: &[u64]) -> HandLoop {
+        HandLoop {
+            parent,
+            parent_iter,
+            start: span.0,
+            end: span.1,
+            iter_starts: iter_starts.to_vec(),
+            mem_conflict_iters: Vec::new(),
+            mem_max_skew: 0,
+        }
+    }
+
+    /// A profile whose root is a `main` activation over `[0, total)`;
+    /// `loops[i]` becomes region `i + 1` with its own static loop `i`.
+    fn hand_profile(total: u64, loops: Vec<HandLoop>) -> Profile {
+        use crate::profile::MetaIndex;
+        use lp_analysis::LoopId;
+        use lp_ir::FuncId;
+        let mut regions = vec![Region {
+            parent: None,
+            parent_iter: 0,
+            start: 0,
+            end: total,
+            kind: RegionKind::Call { func: FuncId(0) },
+            children: Vec::new(),
+        }];
+        let mut loop_meta: Vec<LoopMeta> = Vec::new();
+        for (i, l) in loops.into_iter().enumerate() {
+            let id = RegionId(i as u32 + 1);
+            regions[l.parent as usize].children.push(id);
+            let depth = match &regions[l.parent as usize].kind {
+                RegionKind::Loop(p) => loop_meta[p.meta].depth + 1,
+                RegionKind::Call { .. } => 1,
+            };
+            loop_meta.push(LoopMeta {
+                func: FuncId(0),
+                loop_id: LoopId(i as u32),
+                func_name: "main".to_string(),
+                header: BlockId(i as u32 + 1),
+                depth,
+                traced_phis: Vec::new(),
+                computable_phis: 1,
+            });
+            regions.push(Region {
+                parent: Some(RegionId(l.parent)),
+                parent_iter: l.parent_iter,
+                start: l.start,
+                end: l.end,
+                kind: RegionKind::Loop(LoopInstance {
+                    meta: i,
+                    iter_starts: l.iter_starts,
+                    mem_edges: l.mem_conflict_iters.len() as u64,
+                    mem_conflict_iters: l.mem_conflict_iters,
+                    mem_max_skew: l.mem_max_skew,
+                    mem_max_producer_rel: l.mem_max_skew,
+                    mem_min_consumer_rel: 0,
+                    lcds: Vec::new(),
+                    call_class: CallClass::NoCalls,
+                }),
+                children: Vec::new(),
+            });
+        }
+        let meta_index = MetaIndex::from_meta(&loop_meta);
+        Profile {
+            program: "hand".to_string(),
+            total_cost: total,
+            regions,
+            loop_meta,
+            meta_index,
+            func_names: vec!["main".to_string()],
+        }
+    }
+
+    /// Every entry point, at every model × config and at unbounded,
+    /// 1..=8 and DOACROSS options, equals the reference fold.
+    fn assert_matches_reference(p: &Profile) {
+        let mut options = vec![
+            EvalOptions::default(),
+            EvalOptions {
+                doacross_single_sync: true,
+                cores: None,
+            },
+        ];
+        options.extend((1..=8).map(|c| EvalOptions {
+            doacross_single_sync: c % 2 == 0,
+            cores: Some(c),
+        }));
+        for model in ExecModel::all() {
+            for config in Config::all() {
+                let reference = format!(
+                    "{:?}",
+                    reference_evaluate(p, model, config, EvalOptions::default())
+                );
+                assert_eq!(format!("{:?}", evaluate(p, model, config)), reference);
+                let (explained, _) = evaluate_explained(p, model, config);
+                assert_eq!(format!("{explained:?}"), reference, "{model} {config}");
+                for &o in &options {
+                    let reference = format!("{:?}", reference_evaluate(p, model, config, o));
+                    let with = evaluate_with(p, model, config, o);
+                    assert_eq!(format!("{with:?}"), reference, "{model} {config} {o:?}");
+                    let (explained, _) = evaluate_explained_with(p, model, config, o);
+                    assert_eq!(
+                        format!("{explained:?}"),
+                        reference,
+                        "{model} {config} {o:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn doall_min() -> Config {
+        cfg(ReducMode::Reduc0, DepMode::Dep0, FnMode::Fn0)
+    }
+
+    #[test]
+    fn zero_iteration_instance_drops_its_childrens_savings() {
+        // Loop 0 ran no iterations but contains loop 1 (three iterations
+        // of 10). The child is still folded and counted; its saving has
+        // no iteration to shrink, and the empty instance costs nothing.
+        let p = hand_profile(
+            100,
+            vec![
+                hand_loop(0, 0, (10, 60), &[]),
+                hand_loop(1, 0, (20, 50), &[20, 30, 40]),
+            ],
+        );
+        assert_matches_reference(&p);
+        let r = evaluate(&p, ExecModel::Doall, doall_min());
+        assert_eq!(r.loops.len(), 2);
+        assert_eq!((r.loops[0].iterations, r.loops[0].best_cost), (0, 0));
+        assert_eq!(
+            (r.loops[1].parallel_instances, r.loops[1].best_cost),
+            (1, 10)
+        );
+        assert_eq!(r.best_cost, 50);
+        assert!((r.coverage - 30.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn child_past_the_last_iteration_is_clamped_to_it() {
+        // Loop 0 has iterations of 20, 20, 30; loop 1 claims parent
+        // iteration 9 and saves 10, which must land on iteration 2.
+        let p = hand_profile(
+            100,
+            vec![
+                hand_loop(0, 0, (10, 80), &[10, 30, 50]),
+                hand_loop(1, 9, (60, 75), &[60, 65, 70]),
+            ],
+        );
+        assert_matches_reference(&p);
+        let r = evaluate(&p, ExecModel::Doall, doall_min());
+        assert_eq!(r.loops[1].best_cost, 5);
+        assert_eq!(r.loops[0].best_cost, 20, "slowest iteration shrunk to 20");
+        assert_eq!(r.best_cost, 100 - (70 - 20));
+    }
+
+    #[test]
+    fn three_deep_nest_with_children_in_first_and_last_iterations() {
+        // A (3 × 40) holds B1 in iteration 0 and B2 in iteration 2; B1
+        // (3 × 10) holds C (2 × 4) in its last iteration. Each child
+        // works above its parent's slice of the length stack, so B2 must
+        // find A's lengths where B1 left them. A carries a memory
+        // conflict at iteration 2 so the models disagree.
+        let mut a = hand_loop(0, 0, (0, 120), &[0, 40, 80]);
+        a.mem_conflict_iters = vec![2];
+        a.mem_max_skew = 3;
+        let p = hand_profile(
+            200,
+            vec![
+                a,
+                hand_loop(1, 0, (5, 35), &[5, 15, 25]),
+                hand_loop(2, 2, (26, 34), &[26, 30]),
+                hand_loop(1, 2, (85, 115), &[85, 95, 105]),
+            ],
+        );
+        assert_matches_reference(&p);
+        // C saves 4 in B1's last iteration (10 → 6); B1 and B2 each save
+        // 20, so A's adjusted lengths are [20, 40, 20] (serial 80).
+        let r = evaluate(&p, ExecModel::Doall, doall_min());
+        assert_eq!(r.loops[0].best_cost, 80, "DOALL: A serial on its conflict");
+        assert_eq!(r.best_cost, 200 - (120 - 80));
+        let pd = evaluate(&p, ExecModel::PartialDoall, doall_min());
+        assert_eq!(pd.loops[0].best_cost, 60, "phases {{20, 40}}, {{20}}");
+        let hx = evaluate(&p, ExecModel::Helix, doall_min());
+        assert_eq!(hx.loops[0].best_cost, 40 + 3 * 3);
+    }
+
+    #[test]
+    fn generated_programs_match_the_reference_fold() {
+        for p in [
+            profile_of(&doall_program(40)),
+            profile_of(&register_lcd_program(30)),
+        ] {
+            assert_matches_reference(&p);
         }
     }
 }

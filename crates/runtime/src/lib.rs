@@ -22,6 +22,11 @@
 //!   [`std::sync::Arc`]`<Profile>` — with a deterministic merge so the
 //!   output is byte-identical for any `--jobs` count.
 
+// Lets the test-only reference evaluator (shared with the workspace's
+// property tests) name this crate the way outside callers do.
+#[cfg(test)]
+extern crate self as lp_runtime;
+
 pub mod audit;
 pub mod census;
 pub mod config;

@@ -86,7 +86,10 @@ pub fn doall_cost_bounded(
 }
 
 /// Bounded-core Partial-DOALL: wave scheduling applies within each
-/// conflict-free phase.
+/// conflict-free phase. `cores = None` is [`pdoall_cost`].
+///
+/// `conflicts` must be sorted ascending; each phase is the slice of
+/// `iter_lens` between two consecutive conflicts.
 #[must_use]
 pub fn pdoall_cost_bounded(
     iter_lens: &[u64],
@@ -94,6 +97,9 @@ pub fn pdoall_cost_bounded(
     forced_serial: bool,
     cores: Option<u32>,
 ) -> Option<u64> {
+    if cores.is_none() {
+        return pdoall_cost(iter_lens, conflicts, forced_serial);
+    }
     if forced_serial || iter_lens.is_empty() {
         return None;
     }
@@ -102,17 +108,12 @@ pub fn pdoall_cost_bounded(
         return None;
     }
     let mut cost = 0u64;
-    let mut phase: Vec<u64> = Vec::new();
-    let mut ci = 0usize;
-    for (k, &len) in iter_lens.iter().enumerate() {
-        if ci < conflicts.len() && conflicts[ci] as usize == k {
-            ci += 1;
-            cost += wave_cost(&phase, cores);
-            phase.clear();
-        }
-        phase.push(len);
+    let mut phase_start = 0usize;
+    for &k in conflicts.iter().take_while(|&&k| (k as usize) < n) {
+        cost += wave_cost(&iter_lens[phase_start..k as usize], cores);
+        phase_start = k as usize;
     }
-    Some(cost + wave_cost(&phase, cores))
+    Some(cost + wave_cost(&iter_lens[phase_start..], cores))
 }
 
 /// Bounded-core HELIX: iteration `i` starts no earlier than `i × delta`
@@ -143,16 +144,6 @@ pub fn helix_cost_bounded(
         latest = latest.max(f);
     }
     Some(latest)
-}
-
-/// The conflict-free ("ideal") cost of a loop instance: pure wave
-/// dispatch of its iteration lengths with no dependence of any kind.
-/// This is the floor the attribution layer measures every model's gap
-/// against — `doall_cost_bounded` with no conflicts and no forcing
-/// reduces to exactly this.
-#[must_use]
-pub fn ideal_cost(iter_lens: &[u64], cores: Option<u32>) -> u64 {
-    wave_cost(iter_lens, cores)
 }
 
 /// Dispatches `lens` in order over waves of `cores` (unbounded when

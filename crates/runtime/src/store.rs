@@ -564,6 +564,11 @@ fn dec_loop_instance(d: &mut Dec<'_>, meta_count: usize) -> DecodeResult<LoopIns
     }
     let iter_starts = d.vec_u64()?;
     let mem_conflict_iters = d.vec_u32()?;
+    // The evaluator reads this list as-is (no re-sort), so hold the
+    // profiler's invariant at the trust boundary.
+    if mem_conflict_iters.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(CodecError::Malformed("conflict iterations not ascending"));
+    }
     let mem_max_skew = d.u64()?;
     let mem_max_producer_rel = d.u64()?;
     let mem_min_consumer_rel = d.u64()?;
@@ -1116,6 +1121,22 @@ mod tests {
         assert_profiles_equal(&profile, &p2);
         assert_eq!(format!("{run:?}"), format!("{r2:?}"));
         assert_eq!(p2.meta_index.get(2, 1), Some(0));
+    }
+
+    #[test]
+    fn unsorted_conflict_iterations_are_rejected() {
+        for bad in [vec![2, 1], vec![1, 1]] {
+            let mut profile = sample_profile();
+            let RegionKind::Loop(inst) = &mut profile.regions[1].kind else {
+                unreachable!()
+            };
+            inst.mem_conflict_iters = bad;
+            let bytes = encode_entry(&profile, &sample_run());
+            assert!(matches!(
+                decode_entry(&bytes),
+                Err(CodecError::Malformed("conflict iterations not ascending"))
+            ));
+        }
     }
 
     #[test]

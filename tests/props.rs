@@ -9,11 +9,15 @@ use lp_ir::{Global, Module, Type, ValueId};
 use lp_predict::{HybridPredictor, LastValue, Predictor, Stride};
 use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost};
 use lp_runtime::{
-    evaluate, evaluate_explained, profile_module, sweep, Config, EvalOptions, ExecModel, Jobs,
-    RegionKind, SweepUnit,
+    evaluate, evaluate_explained, evaluate_with, profile_module, sweep, Config, EvalOptions,
+    ExecModel, Jobs, RegionKind, SweepUnit,
 };
 use lp_suite::kernels::counted_loop;
 use proptest::prelude::*;
+
+#[path = "../crates/runtime/tests/support/eval_reference.rs"]
+mod eval_reference;
+use eval_reference::reference_evaluate;
 
 /// One randomly chosen loop in a generated program.
 #[derive(Debug, Clone)]
@@ -243,6 +247,39 @@ proptest! {
                 }
                 let total: u64 = attr.limiters.iter().map(|x| x.weight).sum();
                 prop_assert_eq!(total, attr.total_gap());
+            }
+        }
+    }
+
+    #[test]
+    fn evaluator_matches_the_reference_fold(
+        specs in prop::collection::vec(loop_spec(), 1..5)
+    ) {
+        // The evaluator's length stack, in-place savings and borrowed
+        // conflict lists must reproduce the per-instance-vector fold at
+        // every point, through every entry point.
+        let module = build_program(&specs);
+        let analysis = lp_analysis::analyze_module(&module);
+        let (profile, _) =
+            profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
+        let mut options = Vec::new();
+        for cores in [None].into_iter().chain((1..=8).map(Some)) {
+            for doacross_single_sync in [false, true] {
+                options.push(EvalOptions { doacross_single_sync, cores });
+            }
+        }
+        for model in ExecModel::all() {
+            for config in Config::all() {
+                let reference =
+                    format!("{:?}", reference_evaluate(&profile, model, config, EvalOptions::default()));
+                prop_assert_eq!(&format!("{:?}", evaluate(&profile, model, config)), &reference);
+                let (explained, _) = evaluate_explained(&profile, model, config);
+                prop_assert_eq!(&format!("{explained:?}"), &reference);
+                for &o in &options {
+                    let reference = format!("{:?}", reference_evaluate(&profile, model, config, o));
+                    let with = evaluate_with(&profile, model, config, o);
+                    prop_assert_eq!(format!("{with:?}"), reference, "{} {} {:?}", model, config, o);
+                }
             }
         }
     }
