@@ -46,9 +46,7 @@ pub enum ExtraArgs {
 }
 
 /// Declarative per-binary command-line contract. One row per experiment
-/// binary, checked by [`Cli::enforce`] — replacing the old ad-hoc
-/// `reject_explain_out` / `expect_no_extra_args` call pairs whose
-/// correctness depended on call order in every `main`.
+/// binary, checked by [`Cli::enforce`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {
     /// Binary name as invoked (and as printed in usage errors).
@@ -323,14 +321,10 @@ impl Cli {
         }
         // Engine resolution: explicit `--engine` > `LP_ENGINE` > default
         // (bc). The tree walk stays available as the reference oracle.
-        let mut engine_implicit_env = false;
         if !engine_explicit {
             if let Ok(spec) = std::env::var("LP_ENGINE") {
                 match lp_interp::Engine::parse(&spec) {
-                    Ok(engine) => {
-                        cli.engine = engine;
-                        engine_implicit_env = true;
-                    }
+                    Ok(engine) => cli.engine = engine,
                     Err(bad) => {
                         eprintln!("LP_ENGINE={bad:?} is not an engine (expected tree|bc)");
                         std::process::exit(2);
@@ -339,13 +333,6 @@ impl Cli {
             }
         }
         lp_obs::log::init(cli.quiet);
-        if engine_implicit_env && cli.engine == lp_interp::Engine::Tree {
-            // One-release deprecation notice: the default engine is now
-            // bc, so implicit tree selection deserves a heads-up (an
-            // explicit `--engine tree` stays silent — that's the
-            // reference-oracle spelling).
-            lp_warn!("engine tree selected implicitly via LP_ENGINE; the default engine is now bc — pass --engine tree for the reference oracle");
-        }
         if let Some(path) = &cli.flight_out {
             // Arms the panic hook and SIGUSR1 handler in addition to the
             // end-of-run dump in `Cli::finish`.
@@ -465,25 +452,6 @@ impl Cli {
             self.fail_explain_out(spec.binary);
         }
         spec
-    }
-
-    /// Rejects leftover arguments (binaries without their own positionals).
-    ///
-    /// # Panics
-    /// Exits the process with a usage error when [`Cli::rest`] is non-empty.
-    #[deprecated(note = "use `Cli::enforce` with the binary's `FLAG_SPECS` row")]
-    pub fn expect_no_extra_args(&self) {
-        self.fail_extra_args();
-    }
-
-    /// Rejects `--explain-out` in binaries that have no attribution to
-    /// export (everything except `lpstudy`, `fig4`, and `fig5`).
-    ///
-    /// # Panics
-    /// Exits the process with a usage error when the flag was given.
-    #[deprecated(note = "use `Cli::enforce` with the binary's `FLAG_SPECS` row")]
-    pub fn reject_explain_out(&self, binary: &str) {
-        self.fail_explain_out(binary);
     }
 
     /// End-of-run hook: dumps the observability summary at debug level

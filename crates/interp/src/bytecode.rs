@@ -1,7 +1,7 @@
 //! The flat pre-resolved bytecode engine (`lp-bc`).
 //!
 //! [`CompiledModule`] is the compile-once artifact produced by
-//! [`crate::compile`]; the dispatch loop below executes it with
+//! `compile`; the dispatch loop below executes it with
 //! observationally identical semantics to the tree walk
 //! (`Machine::call_function`): same results, same dynamic cost, same
 //! event stream with the same `now` stamps, same error on the same
@@ -9,18 +9,11 @@
 //! are direct register indices, branch targets are absolute offsets,
 //! per-edge phi-run tables replace the per-entry `incomings` search,
 //! block costs are table lookups, and the dominant dispatch pairs are
-//! fused ([`Bc::IcmpBr`], [`Bc::GepLoad`]) — never from skipping
+//! fused (`Bc::IcmpBr`, `Bc::GepLoad`) — never from skipping
 //! bookkeeping: fused superinstructions still tick the heat table,
 //! charge fuel, and stamp events once per constituent instruction.
-//!
-//! The loop also implements the block-granular event batching path:
-//! when the sink declares [`crate::Fidelity::Block`], per-instruction
-//! events are buffered into one [`crate::BlockBatch`] per executed
-//! block and delivered through [`EventSink::block_batch`], flushed at
-//! every block boundary and before any function-level event so global
-//! event order is preserved exactly.
 
-use crate::events::{BlockEntry, EventSink};
+use crate::events::EventSink;
 use crate::machine::{exec_bin, Machine};
 use crate::value::Value;
 use crate::{InterpError, Result};
@@ -283,86 +276,7 @@ fn gep_addr(base: Value, index: Value, scale: i64, offset: i64) -> Result<u64> {
         .wrapping_add(offset) as u64)
 }
 
-/// Batch size cap, checked at block entry so blocks stay contiguous: a
-/// batch flushes before opening another block once it holds this many
-/// events. Large enough to amortize per-delivery bookkeeping (flush,
-/// metering, the consumer's hoisted preamble) over dozens of blocks,
-/// small enough to keep the working set inside L1.
-const BATCH_CAP: usize = 128;
-
 impl<'a, S: EventSink> Machine<'a, S> {
-    /// Delivers the pending block batch, if any, and resets the buffer
-    /// for the next one. `func`/`block` are left in place so a block
-    /// continuation after a call boundary batches under the right block
-    /// (with `entry: None`).
-    pub(crate) fn flush_batch(&mut self) {
-        if self.batch.entry.is_some() || !self.batch.is_empty() {
-            self.sink.block_batch(&self.batch);
-            self.batch.entry = None;
-            self.batch.clear();
-        }
-    }
-
-    /// Block-entry event: batched or direct, per the sink's fidelity.
-    /// A batched entry extends the pending batch with an in-stream
-    /// marker; only the size cap (or a call boundary, elsewhere) cuts a
-    /// delivery, so one batch spans a run of blocks.
-    #[inline]
-    fn enter_block(&mut self, fid: FuncId, block: BlockId, cost: u64, now: u64) {
-        if self.batching {
-            if self.batch.len() >= BATCH_CAP {
-                self.flush_batch();
-            }
-            if self.batch.entry.is_none() && self.batch.is_empty() {
-                // Fresh batch (frame start, post-flush, or an eventless
-                // continuation): this entry opens it.
-                self.batch.func = fid;
-                self.batch.block = block;
-                self.batch.entry = Some(BlockEntry { cost, now });
-            } else {
-                self.batch.push_enter(block, cost, now);
-            }
-        } else {
-            self.sink.block_entered(fid, block, cost, now);
-        }
-    }
-
-    #[inline]
-    fn emit_phi(&mut self, fid: FuncId, block: BlockId, phi: ValueId, value: Value, now: u64) {
-        if self.batching {
-            self.batch.push_phi(phi, value, now);
-        } else {
-            self.sink.phi_resolved(fid, block, phi, value, now);
-        }
-    }
-
-    #[inline]
-    fn emit_load(&mut self, addr: u64, now: u64) {
-        if self.batching {
-            self.batch.push_load(addr, now);
-        } else {
-            self.sink.load(addr, now);
-        }
-    }
-
-    #[inline]
-    fn emit_store(&mut self, addr: u64, now: u64) {
-        if self.batching {
-            self.batch.push_store(addr, now);
-        } else {
-            self.sink.store(addr, now);
-        }
-    }
-
-    #[inline]
-    fn emit_def(&mut self, fid: FuncId, value: ValueId, val: Value, now: u64) {
-        if self.batching {
-            self.batch.push_def(value, val, now);
-        } else {
-            self.sink.value_defined(fid, value, val, now);
-        }
-    }
-
     /// Writes an instruction result and reports it if watched —
     /// the bytecode twin of the tree walk's per-instruction epilogue.
     #[inline]
@@ -377,7 +291,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
     ) {
         regs[dst as usize] = v;
         if watch && self.watched[fid.index()][dst as usize] {
-            self.emit_def(fid, ValueId(dst), v, now);
+            self.sink.value_defined(fid, ValueId(dst), v, now);
         }
     }
 
@@ -398,7 +312,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         regs: &mut [Value],
         cost: &mut u64,
     ) -> Result<()> {
-        self.enter_block(fid, e.block, e.cost, *cost);
+        self.sink.block_entered(fid, e.block, e.cost, *cost);
         if e.sequential {
             // No move reads an earlier move's destination (the compiler
             // proved it), so the parallel copy degenerates to a plain
@@ -407,7 +321,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 let v = regs[src as usize];
                 regs[dst as usize] = v;
                 self.heat_tick(fid, e.block, Opcode::Phi);
-                self.emit_phi(fid, e.block, ValueId(dst), v, *cost);
+                self.sink.phi_resolved(fid, e.block, ValueId(dst), v, *cost);
             }
         } else {
             let mut updates = std::mem::take(&mut self.phi_scratch);
@@ -417,7 +331,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
             for &(r, v) in &updates {
                 regs[r.index()] = v;
                 self.heat_tick(fid, e.block, Opcode::Phi);
-                self.emit_phi(fid, e.block, r, v, *cost);
+                self.sink.phi_resolved(fid, e.block, r, v, *cost);
             }
             updates.clear();
             self.phi_scratch = updates;
@@ -693,7 +607,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     pc = take_edge!(unsafe { bf.edges.get_unchecked(*edge as usize) });
                 }
                 Bc::Alloca { dst, words } => {
-                    let base = self.memory.stack_alloc(u64::from(*words));
+                    let base = self.memory.stack_alloc(u64::from(*words))?;
                     set!(*dst, Value::P(base));
                 }
                 Bc::CallFunc { dst, func, args } => {
@@ -789,7 +703,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         let watch = !self.watched[fid.index()].is_empty();
         let mut block = BlockId::ENTRY;
         let mut pc: usize = 0;
-        self.enter_block(fid, block, bf.entry_cost, *cost);
+        self.sink.block_entered(fid, block, bf.entry_cost, *cost);
         if self.replay.is_some() {
             self.cost = *cost;
             let r = self.maybe_replay(fid, func, block, None, &mut regs);
@@ -852,7 +766,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     charge(cost, max_cost)?;
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
-                    self.emit_load(a, *cost);
+                    self.sink.load(a, *cost);
                     self.set_reg(
                         fid,
                         watch,
@@ -868,7 +782,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let v = regs[*val as usize].to_bits()?;
                     let a = regs[*addr as usize].as_ptr()?;
                     self.memory.write(a, v)?;
-                    self.emit_store(a, *cost);
+                    self.sink.store(a, *cost);
                     self.set_reg(fid, watch, &mut regs, *dst, Value::Unit, *cost);
                 }
                 Bc::Gep {
@@ -901,7 +815,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     self.heat_tick(fid, block, Opcode::Load);
                     charge(cost, max_cost)?;
                     let bits = self.memory.read(a)?;
-                    self.emit_load(a, *cost);
+                    self.sink.load(a, *cost);
                     self.set_reg(
                         fid,
                         watch,
@@ -930,7 +844,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     charge(cost, max_cost)?;
                     let v = regs[*val as usize].to_bits()?;
                     self.memory.write(a, v)?;
-                    self.emit_store(a, *cost);
+                    self.sink.store(a, *cost);
                     self.set_reg(fid, watch, &mut regs, *dst, Value::Unit, *cost);
                 }
                 Bc::BinBin {
@@ -968,7 +882,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let v = regs[*val as usize].to_bits()?;
                     let a = regs[*addr as usize].as_ptr()?;
                     self.memory.write(a, v)?;
-                    self.emit_store(a, *cost);
+                    self.sink.store(a, *cost);
                     self.set_reg(fid, watch, &mut regs, *sdst, Value::Unit, *cost);
                     self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
@@ -990,7 +904,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     charge(cost, max_cost)?;
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
-                    self.emit_load(a, *cost);
+                    self.sink.load(a, *cost);
                     self.set_reg(
                         fid,
                         watch,
@@ -1025,41 +939,23 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 Bc::Alloca { dst, words } => {
                     self.heat_tick(fid, block, Opcode::Alloca);
                     charge(cost, max_cost)?;
-                    let base = self.memory.stack_alloc(u64::from(*words));
+                    let base = self.memory.stack_alloc(u64::from(*words))?;
                     self.set_reg(fid, watch, &mut regs, *dst, Value::P(base), *cost);
                 }
                 Bc::CallFunc { dst, func, args } => {
                     self.heat_tick(fid, block, Opcode::Call);
                     charge(cost, max_cost)?;
                     let argv: Vec<Value> = args.iter().map(|&a| regs[a as usize]).collect();
-                    if self.batching {
-                        // The callee batches its own blocks through the
-                        // shared buffer; flush ours first so event order
-                        // is preserved, and re-point the buffer at the
-                        // current block when the callee returns.
-                        self.flush_batch();
-                    }
                     self.cost = *cost;
                     let v = self.call_function_bc(code, FuncId(*func), &argv);
                     *cost = self.cost;
                     let v = v?;
-                    if self.batching {
-                        self.batch.func = fid;
-                        self.batch.block = block;
-                    }
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
                 }
                 Bc::CallBuiltin { dst, builtin, args } => {
                     self.heat_tick(fid, block, Opcode::Call);
                     charge(cost, max_cost)?;
                     let argv: Vec<Value> = args.iter().map(|&a| regs[a as usize]).collect();
-                    if self.batching {
-                        // `builtin_called` and memcpy/memset word events
-                        // are delivered directly (never batched); flush
-                        // so they land in order. The buffer keeps
-                        // pointing at the current block.
-                        self.flush_batch();
-                    }
                     self.sink.builtin_called(fid, *builtin, *cost);
                     self.cost = *cost;
                     let v = self.exec_builtin(*builtin, &argv);
@@ -1121,10 +1017,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             }
         };
         self.memory.stack_release(frame_mark);
-        if self.batching {
-            // The final block's batch must land before `func_exited`.
-            self.flush_batch();
-        }
         self.sink.func_exited(fid, *cost);
         self.depth -= 1;
         self.frame_pool.push(regs);

@@ -51,11 +51,9 @@ pub mod trace;
 pub mod value;
 
 pub use bytecode::CompiledModule;
-pub use events::{
-    BatchEvent, BatchKind, BlockBatch, BlockEntry, CountingSink, EventSink, Fidelity, NullSink,
-};
+pub use events::{CountingSink, EventSink, NullSink};
 pub use exec::{Exec, ExecOut, ExecUnit};
-pub use machine::{Engine, Machine, MachineConfig, RunResult};
+pub use machine::{Engine, MachineConfig, RunResult};
 pub use memory::{MemStats, Memory, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 pub use metered::{EventCounts, MeteredSink, TeeSink};
 pub use replay::{
@@ -85,6 +83,8 @@ pub enum InterpError {
     TypeConfusion(&'static str),
     /// Math-domain trap (e.g. `log` of a non-positive number).
     MathDomain(&'static str),
+    /// A `malloc` or `alloca` did not fit in its memory region.
+    OutOfMemory,
 }
 
 impl fmt::Display for InterpError {
@@ -97,6 +97,7 @@ impl fmt::Display for InterpError {
             InterpError::CallDepthExceeded => write!(f, "call depth limit exceeded"),
             InterpError::TypeConfusion(what) => write!(f, "runtime type confusion in {what}"),
             InterpError::MathDomain(what) => write!(f, "math domain error in {what}"),
+            InterpError::OutOfMemory => write!(f, "out of memory"),
         }
     }
 }

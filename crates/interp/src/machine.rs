@@ -117,15 +117,14 @@ pub struct RunResult {
 
 /// An interpreter instance bound to a module and an event sink.
 ///
-/// The machine is single-use per program run: construct, [`Machine::run`],
-/// inspect. Globals are laid out and initialized at construction.
+/// The machine is single-use per program run; [`crate::Exec`] builds one
+/// per run. Globals are laid out and initialized at construction.
 #[derive(Debug)]
-pub struct Machine<'a, S> {
+pub(crate) struct Machine<'a, S> {
     pub(crate) module: &'a Module,
     pub(crate) sink: &'a mut S,
     pub(crate) config: MachineConfig,
     pub(crate) memory: Memory,
-    global_bases: Vec<u64>,
     pub(crate) cost: u64,
     pub(crate) rng: u64,
     pub(crate) output: Vec<String>,
@@ -166,78 +165,16 @@ pub struct Machine<'a, S> {
     /// the executor instead of running them serially. One `Option` check
     /// per block entry when disarmed.
     pub(crate) replay: Option<ReplayCtl<'a>>,
-    /// `true` while the bytecode engine is delivering block batches
-    /// (the sink declared [`crate::Fidelity::Block`]); always `false`
-    /// under the tree-walk engine.
-    pub(crate) batching: bool,
-    /// Reused block-batch buffer for the bytecode engine's batched
-    /// event path. At most one frame has a pending batch at a time
-    /// (batches are flushed before calls), so one buffer serves the
-    /// whole call stack. Taken from (and returned to) the per-thread
-    /// batch pool so repeated runs keep the grown event streams.
-    pub(crate) batch: crate::events::BlockBatch,
-}
-
-thread_local! {
-    /// Recycled [`crate::events::BlockBatch`] buffers: `run_entry` parks
-    /// the machine's batch buffer here at end of run and the next
-    /// machine on this thread takes it back, so repeated profiled runs
-    /// (a sweep, a rep loop) reuse the grown event streams instead of
-    /// re-growing them from zero. Capped so idle threads hold at most a
-    /// few buffers.
-    static BATCH_POOL: std::cell::RefCell<Vec<crate::events::BlockBatch>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Maximum parked batch buffers per thread.
-const BATCH_POOL_CAP: usize = 4;
-
-/// Takes a recycled batch buffer off this thread's pool (crediting its
-/// retained capacity to the `batch_bytes_reused` counter) or makes a
-/// fresh one.
-fn take_pooled_batch() -> crate::events::BlockBatch {
-    BATCH_POOL
-        .with(|pool| pool.borrow_mut().pop())
-        .inspect(|batch| {
-            let reused = batch.capacity_bytes();
-            if reused > 0 {
-                lp_obs::counters().add(lp_obs::Counter::BatchBytesReused, reused);
-            }
-        })
-        .unwrap_or_default()
-}
-
-/// Parks a finished batch buffer for reuse, dropping it when it holds
-/// no capacity worth keeping or the pool is full.
-fn park_pooled_batch(batch: crate::events::BlockBatch) {
-    if batch.capacity_bytes() == 0 {
-        return;
-    }
-    BATCH_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < BATCH_POOL_CAP {
-            pool.push(batch);
-        }
-    });
 }
 
 impl<'a, S: EventSink> Machine<'a, S> {
-    /// Creates a machine with default configuration.
+    /// Creates a machine with an explicit configuration.
     ///
     /// # Panics
     /// Panics if global initializers are longer than their globals (the
     /// module should have been verified).
     #[must_use]
-    pub fn new(module: &'a Module, sink: &'a mut S) -> Machine<'a, S> {
-        Machine::with_config(module, sink, MachineConfig::default())
-    }
-
-    /// Creates a machine with an explicit configuration.
-    ///
-    /// # Panics
-    /// Panics if global initializers are longer than their globals.
-    #[must_use]
-    pub fn with_config(
+    pub(crate) fn with_config(
         module: &'a Module,
         sink: &'a mut S,
         config: MachineConfig,
@@ -292,7 +229,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             sink,
             config,
             memory,
-            global_bases,
             cost: 0,
             rng,
             output: Vec::new(),
@@ -310,15 +246,13 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 })
             }),
             replay: None,
-            batching: false,
-            batch: take_pooled_batch(),
         }
     }
 
     /// Arms parallel replay: certified loops in `plan` will be executed
     /// across `exec`'s workers instead of serially.
     #[must_use]
-    pub fn with_replay(
+    pub(crate) fn with_replay(
         mut self,
         plan: &'a ReplayPlan,
         exec: &'a dyn crate::replay::ParallelExec,
@@ -327,42 +261,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
         self
     }
 
-    /// Runs `main` with the given arguments.
-    ///
-    /// # Errors
-    /// Propagates traps and resource-limit failures, or an
-    /// [`InterpError::TypeConfusion`] if the module has no `main`.
-    #[deprecated(note = "compile once with `ExecUnit` and run through the `Exec` builder")]
-    pub fn run(self, args: &[Value]) -> Result<RunResult> {
-        self.run_entry(None, args, None).map(|(result, _)| result)
-    }
-
-    /// As [`Machine::run`], additionally returning the final memory
-    /// image. The replay engine byte-compares the images of a serial and
-    /// a replayed run to detect divergence.
-    ///
-    /// # Errors
-    /// As [`Machine::run`].
-    #[deprecated(note = "use `Exec::new(&unit).keep_memory(true).run(args)`")]
-    pub fn run_keep_memory(self, args: &[Value]) -> Result<(RunResult, Memory)> {
-        self.run_entry(None, args, None)
-    }
-
-    /// Runs an arbitrary function by name (for tests and examples).
-    ///
-    /// # Errors
-    /// As [`Machine::run`].
-    #[deprecated(note = "use `Exec::new(&unit).function(name).run(args)`")]
-    pub fn run_function(self, name: &str, args: &[Value]) -> Result<RunResult> {
-        self.run_entry(Some(name), args, None)
-            .map(|(result, _)| result)
-    }
-
-    /// Shared run entry for both engines and every public surface (the
-    /// [`crate::Exec`] builder and the deprecated `run*` trio): resolves
-    /// the entry function, dispatches to the tree walk or — when `code`
-    /// is present — the bytecode loop, and finalizes heat/batch/memory
-    /// bookkeeping identically on both paths.
+    /// Shared run entry for both engines, behind the [`crate::Exec`]
+    /// builder: resolves the entry function, dispatches to the tree walk
+    /// or — when `code` is present — the bytecode loop, and finalizes
+    /// heat/memory bookkeeping identically on both paths.
     pub(crate) fn run_entry(
         mut self,
         function: Option<&str>,
@@ -380,21 +282,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 .map_err(|_| InterpError::TypeConfusion("missing main"))?,
         };
         let ret = match code {
-            Some(code) => {
-                self.batching = self.sink.fidelity() == crate::events::Fidelity::Block;
-                let ret = self.call_function_bc(code, entry, args);
-                // Deliver any pending block batch even when the run
-                // trapped, so batched sinks observe exactly the events
-                // the per-instruction stream would have delivered.
-                self.flush_batch();
-                ret
-            }
+            Some(code) => self.call_function_bc(code, entry, args),
             None => self.call_function(entry, args),
         };
         self.flush_heat();
-        // Park the (flushed, empty) batch buffer for the next machine on
-        // this thread — on error paths too, so trapped runs still recycle.
-        park_pooled_batch(std::mem::take(&mut self.batch));
         let ret = ret?;
         self.sink.mem_stats(self.memory.stats());
         Ok((
@@ -405,21 +296,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             },
             self.memory,
         ))
-    }
-
-    /// Dynamic cost so far.
-    #[must_use]
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
-
-    /// Address of a global (for constructing pointer arguments in tests).
-    ///
-    /// # Panics
-    /// Panics if out of bounds.
-    #[must_use]
-    pub fn global_base(&self, g: lp_ir::GlobalId) -> u64 {
-        self.global_bases[g.index()]
     }
 
     /// Folds any collected dispatch-heat pair counts into the global
@@ -817,7 +693,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 Ok(Value::Unit)
             }
             Inst::Alloca { words } => {
-                let base = self.memory.stack_alloc(u64::from(*words));
+                let base = self.memory.stack_alloc(u64::from(*words))?;
                 Ok(Value::P(base))
             }
             Inst::Call { callee, args } => {
@@ -838,7 +714,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         match b {
             Builtin::Malloc => {
                 let bytes = args[0].as_i64()?.max(0) as u64;
-                Ok(Value::P(self.memory.heap_alloc(bytes)))
+                Ok(Value::P(self.memory.heap_alloc(bytes)?))
             }
             Builtin::Free => Ok(Value::Unit),
             Builtin::Memcpy => {
@@ -1125,7 +1001,7 @@ pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{CountingSink, NullSink};
+    use crate::events::CountingSink;
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{Global, Type};
 
@@ -1240,8 +1116,7 @@ mod tests {
         assert_eq!(sink.blocks, 1);
         assert_eq!(sink.calls, 1); // main itself
         assert_eq!(r.cost, sink.cost);
-        // The bc engine delivers the same events through the batched
-        // path (CountingSink declares block fidelity).
+        // The bc engine delivers the same events.
         let mut bc_sink = CountingSink::default();
         let bc_unit = ExecUnit::with_engine(&m, Engine::Bc);
         let rb = Exec::new(&bc_unit)
@@ -1552,28 +1427,6 @@ mod tests {
             blocks: vec![BlockId(1), BlockId(2)],
             phis: kinds,
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_trio_still_works() {
-        // Back-compat: the old entry points must stay observationally
-        // identical to the `Exec` builder they now wrap.
-        let m = sum_module();
-        let expect = run_main(&m, &[Value::I(10)]);
-        let mut sink = NullSink;
-        let r = Machine::new(&m, &mut sink).run(&[Value::I(10)]).unwrap();
-        assert_eq!(r, expect);
-        let mut sink = NullSink;
-        let (r, _mem) = Machine::new(&m, &mut sink)
-            .run_keep_memory(&[Value::I(10)])
-            .unwrap();
-        assert_eq!(r, expect);
-        let mut sink = NullSink;
-        let r = Machine::new(&m, &mut sink)
-            .run_function("main", &[Value::I(10)])
-            .unwrap();
-        assert_eq!(r, expect);
     }
 
     #[test]

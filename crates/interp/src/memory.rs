@@ -12,6 +12,11 @@
 //!   across calls, which is precisely the structural call-stack hazard of
 //!   paper §II-E.
 //!
+//! Each allocator is bounded by the next region: the heap ends at
+//! [`STACK_BASE`] and the stack at `STACK_LIMIT`, so an allocation can
+//! never alias another region's live words. One that does not fit traps
+//! with [`InterpError::OutOfMemory`].
+//!
 //! All accesses are 8-byte words; unaligned or null-page accesses trap.
 //!
 //! # Hot-path layout
@@ -20,7 +25,7 @@
 //! lookup must not hash (see DESIGN.md §10). Pages live in an arena
 //! (`Vec<Box<[u64; 512]>>`) and are located through a **two-level page
 //! directory**: the bounded dense directory covers every page below
-//! [`DIRECT_LIMIT`] — which contains all three allocator regions — with
+//! `DIRECT_LIMIT` — which contains all three allocator regions — with
 //! two array indexes, and a small Fx-hashed fallback map catches
 //! anything above it (e.g. synthetic function-pointer addresses). In
 //! front of both sits a small **direct-mapped page cache**, so loops
@@ -34,8 +39,11 @@ use lp_ir::fx::FxHashMap;
 pub const GLOBAL_BASE: u64 = 0x1000_0000;
 /// Base address of the heap region.
 pub const HEAP_BASE: u64 = 0x4000_0000;
-/// Base address of the stack region.
+/// Base address of the stack region (and the end of the heap).
 pub const STACK_BASE: u64 = 0x8000_0000;
+/// End of the stack region: 2 GiB of stack, ending where the dense page
+/// directory does.
+const STACK_LIMIT: u64 = 0x1_0000_0000;
 
 const PAGE_WORDS: usize = 512;
 const PAGE_BYTES: u64 = (PAGE_WORDS as u64) * 8;
@@ -280,11 +288,14 @@ impl Memory {
     /// Bump-allocates `bytes` on the heap (rounded up to whole words),
     /// returning the base address. Zero-byte allocations return a unique,
     /// valid address.
-    pub fn heap_alloc(&mut self, bytes: u64) -> u64 {
-        let words = bytes.div_ceil(8).max(1);
+    ///
+    /// # Errors
+    /// [`InterpError::OutOfMemory`] when the allocation would reach the
+    /// stack region.
+    pub fn heap_alloc(&mut self, bytes: u64) -> Result<u64> {
         let base = self.heap_top;
-        self.heap_top += words * 8;
-        base
+        self.heap_top = bump(base, bytes.div_ceil(8).max(1), STACK_BASE)?;
+        Ok(base)
     }
 
     /// Current top of the stack region.
@@ -295,10 +306,14 @@ impl Memory {
 
     /// Pushes `words` stack slots, returning the base address of the new
     /// allocation. Used for `alloca`.
-    pub fn stack_alloc(&mut self, words: u64) -> u64 {
+    ///
+    /// # Errors
+    /// [`InterpError::OutOfMemory`] when the stack would pass
+    /// `STACK_LIMIT`.
+    pub fn stack_alloc(&mut self, words: u64) -> Result<u64> {
         let base = self.stack_top;
-        self.stack_top += words * 8;
-        base
+        self.stack_top = bump(base, words, STACK_LIMIT)?;
+        Ok(base)
     }
 
     /// Pops the stack back to `mark` (a value previously returned by
@@ -321,6 +336,16 @@ impl Memory {
             Region::Global
         }
     }
+}
+
+/// The allocator top after bumping `top` by `words` words, if it stays
+/// within `limit`.
+fn bump(top: u64, words: u64, limit: u64) -> Result<u64> {
+    words
+        .checked_mul(8)
+        .and_then(|bytes| top.checked_add(bytes))
+        .filter(|&end| end <= limit)
+        .ok_or(InterpError::OutOfMemory)
 }
 
 /// Memory region classification (drives structural-hazard handling).
@@ -360,21 +385,48 @@ mod tests {
     #[test]
     fn heap_never_reuses() {
         let mut m = Memory::new();
-        let a = m.heap_alloc(16);
-        let b = m.heap_alloc(0);
-        let c = m.heap_alloc(1);
+        let a = m.heap_alloc(16).unwrap();
+        let b = m.heap_alloc(0).unwrap();
+        let c = m.heap_alloc(1).unwrap();
         assert!(a < b && b < c);
         assert_eq!(a % 8, 0);
+    }
+
+    #[test]
+    fn allocators_stop_at_their_region_ends() {
+        let mut m = Memory::new();
+        // The heap may fill exactly up to the stack, never into it.
+        let base = m.heap_alloc(STACK_BASE - HEAP_BASE - 8).unwrap();
+        assert_eq!(base, HEAP_BASE);
+        assert_eq!(m.heap_alloc(8), Ok(STACK_BASE - 8));
+        assert_eq!(m.heap_alloc(1), Err(InterpError::OutOfMemory));
+        assert_eq!(m.heap_alloc(u64::MAX), Err(InterpError::OutOfMemory));
+        // A failed allocation leaves the allocator where it was.
+        let mut m = Memory::new();
+        assert_eq!(m.heap_alloc(i64::MAX as u64), Err(InterpError::OutOfMemory));
+        assert_eq!(m.heap_alloc(8), Ok(HEAP_BASE));
+        let top = m.stack_top();
+        assert_eq!(m.stack_alloc(u64::MAX), Err(InterpError::OutOfMemory));
+        assert_eq!(
+            m.stack_alloc((STACK_LIMIT - STACK_BASE) / 8 + 1),
+            Err(InterpError::OutOfMemory)
+        );
+        assert_eq!(m.stack_top(), top);
+        assert_eq!(
+            m.stack_alloc((STACK_LIMIT - STACK_BASE) / 8),
+            Ok(STACK_BASE)
+        );
+        assert_eq!(m.stack_alloc(1), Err(InterpError::OutOfMemory));
     }
 
     #[test]
     fn stack_is_lifo_and_reuses_addresses() {
         let mut m = Memory::new();
         let mark = m.stack_top();
-        let a = m.stack_alloc(4);
+        let a = m.stack_alloc(4).unwrap();
         m.write(a, 7).unwrap();
         m.stack_release(mark);
-        let b = m.stack_alloc(4);
+        let b = m.stack_alloc(4).unwrap();
         assert_eq!(a, b, "released stack slots are reused");
         assert_eq!(m.read(b).unwrap(), 7, "contents are not cleared");
     }

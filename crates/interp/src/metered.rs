@@ -7,7 +7,7 @@
 //! per event). [`TeeSink`] fans every event out to two sinks, letting a
 //! debugging trace ride along with the profiler, for example.
 
-use crate::events::{BatchKind, BlockBatch, EventSink, Fidelity};
+use crate::events::EventSink;
 use crate::value::Value;
 use lp_ir::{BlockId, Builtin, FuncId, ValueId};
 
@@ -140,33 +140,6 @@ impl<S: EventSink> EventSink for MeteredSink<S> {
         );
         self.inner.mem_stats(stats);
     }
-
-    fn fidelity(&self) -> Fidelity {
-        // Counters only need per-block totals; the inner sink loses
-        // nothing either way because the whole batch is forwarded (and
-        // the per-instruction shim replays it verbatim if the inner sink
-        // has no batch handler of its own).
-        Fidelity::Block
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        if let Some(entry) = &batch.entry {
-            self.counts.blocks += 1;
-            self.last_now = entry.now;
-        }
-        // Per-kind tallies are maintained by the batch on push, so the
-        // decorator meters a whole batch in O(1) — the inner sink is
-        // the only consumer that walks the stream.
-        self.counts.blocks += batch.count(BatchKind::Enter);
-        self.counts.phis += batch.count(BatchKind::Phi);
-        self.counts.loads += batch.count(BatchKind::Load);
-        self.counts.stores += batch.count(BatchKind::Store);
-        self.counts.defs += batch.count(BatchKind::Def);
-        if let Some(now) = batch.last_enter_now() {
-            self.last_now = now;
-        }
-        self.inner.block_batch(batch);
-    }
 }
 
 /// Fans every event out to two sinks (`a` first, then `b`).
@@ -229,22 +202,6 @@ impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
     fn mem_stats(&mut self, stats: crate::memory::MemStats) {
         self.a.mem_stats(stats);
         self.b.mem_stats(stats);
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        // Batch only when both receivers asked for batches; otherwise
-        // stay per-instruction so a direct-delivery sink keeps its fast
-        // path instead of paying for buffering it never wanted.
-        if self.a.fidelity() == Fidelity::Block && self.b.fidelity() == Fidelity::Block {
-            Fidelity::Block
-        } else {
-            Fidelity::PerInstruction
-        }
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        self.a.block_batch(batch);
-        self.b.block_batch(batch);
     }
 }
 
@@ -322,17 +279,11 @@ mod tests {
         run_with(&m, Engine::Tree, &mut tee);
         assert_eq!(format!("{:?}", tee.a), format!("{:?}", tee.b));
         assert!(tee.a.loads > 0 && tee.a.stores > 0);
-        // Both children declare block fidelity, so under bc the tee
-        // forwards whole batches — with identical results.
-        let mut batched = TeeSink::new(CountingSink::default(), CountingSink::default());
-        assert_eq!(batched.fidelity(), Fidelity::Block);
-        run_with(&m, Engine::Bc, &mut batched);
-        assert_eq!(format!("{:?}", batched.a), format!("{:?}", tee.a));
-        // A per-instruction child demotes the whole tee.
-        assert_eq!(
-            TeeSink::new(CountingSink::default(), TraceSink::new(4)).fidelity(),
-            Fidelity::PerInstruction
-        );
+        // The bc engine tees the identical stream.
+        let mut bc = TeeSink::new(CountingSink::default(), CountingSink::default());
+        run_with(&m, Engine::Bc, &mut bc);
+        assert_eq!(format!("{:?}", bc.a), format!("{:?}", tee.a));
+        assert_eq!(format!("{:?}", bc.b), format!("{:?}", tee.b));
     }
 
     #[test]
@@ -347,12 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_per_instruction_metering_agree() {
-        // The satellite conformance test: a metered run must produce
-        // identical counter totals whether events arrive one by one
-        // (tree engine) or as block batches (bc engine) — and an inner
-        // per-instruction sink behind the batching decorator must see a
-        // byte-identical stream via the compatibility shim.
+    fn tree_and_bc_metering_agree() {
+        // A metered run must produce identical counter totals under
+        // both engines, and the inner sink behind the decorator must
+        // see a byte-identical stream.
         let mut m = Module::new("conformance");
         let g = m.add_global(Global::zeroed("g", 4));
         let mut fb = FunctionBuilder::new("main", &[], Type::I64);
@@ -385,7 +334,7 @@ mod tests {
         let (bc_result, bc_counts, bc_trace) = run(Engine::Bc);
         assert_eq!(tree_result, bc_result);
         assert_eq!(tree_counts, bc_counts, "counter totals diverged");
-        assert_eq!(tree_trace, bc_trace, "shim-replayed stream diverged");
+        assert_eq!(tree_trace, bc_trace, "inner event stream diverged");
         assert_eq!(tree_counts.defs, 1, "watched def must be counted");
         assert!(tree_counts.loads >= 1 && tree_counts.stores >= 1);
     }

@@ -123,9 +123,9 @@ pub enum Counter {
     /// Replayed runs whose final memory image or observable output
     /// diverged from the serial reference (hard failures).
     ReplayDivergences,
-    /// Heap bytes of block-batch event buffers the interpreter reused
-    /// from the batch pool instead of reallocating (growth churn saved
-    /// across profiled runs).
+    /// Retired: counted heap bytes reused by the former block-batch
+    /// event path, which has been removed. Always 0; the slot and name
+    /// stay so counter layouts and consumers remain stable.
     BatchBytesReused,
 }
 

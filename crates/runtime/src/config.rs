@@ -218,13 +218,6 @@ pub fn table2_rows() -> Vec<(ExecModel, Config)> {
     ]
 }
 
-/// Renamed: the rows are Table II's, not "the paper's" generically.
-#[deprecated(note = "renamed to `table2_rows`")]
-#[must_use]
-pub fn paper_rows() -> Vec<(ExecModel, Config)> {
-    table2_rows()
-}
-
 /// The paper's "best realistic" configurations used in Figures 4 and 5.
 #[must_use]
 pub fn best_pdoall() -> (ExecModel, Config) {

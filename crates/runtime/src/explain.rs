@@ -17,7 +17,7 @@
 //! Each manifested cause (a [`LimiterKind`]) is then **counterfactually
 //! re-costed** with that cause alone lifted; the savings answer "lifting
 //! this limiter alone unlocks ≤N× more". The gap is allocated across
-//! causes conservatively (see [`allocate`]): each limiter's weight never
+//! causes conservatively (see `allocate`): each limiter's weight never
 //! exceeds its solo counterfactual savings, any unexplained residue goes
 //! to [`LimiterKind::LoadImbalance`], and the weights **sum exactly to
 //! the gap** — the conservation law the proptests enforce.

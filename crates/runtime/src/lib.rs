@@ -3,8 +3,7 @@
 //! This crate is the heart of the limit study (paper §III):
 //!
 //! - [`tracker::Profiler`] consumes the interpreter's instrumentation —
-//!   per-instruction call-backs under the tree engine, natively decoded
-//!   block batches under the bytecode engine (DESIGN.md §15) — and
+//!   one call-back per event under either engine (DESIGN.md §15) — and
 //!   produces a [`profile::Profile`]: the dynamic region tree with
 //!   iteration stamps, memory RAW conflicts (with the cactus-stack
 //!   structural-hazard filter of §II-E), register-LCD value prediction
@@ -17,7 +16,7 @@
 //!   `(model, config)` pair — one profile run serves all configurations;
 //! - [`census`] quantifies Table I; [`report`] provides the GEOMEAN
 //!   aggregation used by Figures 2–5;
-//! - [`sweep`] fans the `(benchmark × model × config)` lattice over
+//! - [`mod@sweep`] fans the `(benchmark × model × config)` lattice over
 //!   scoped worker threads — profile once, evaluate many on a shared
 //!   [`std::sync::Arc`]`<Profile>` — with a deterministic merge so the
 //!   output is byte-identical for any `--jobs` count.
@@ -44,8 +43,6 @@ pub mod witness;
 
 pub use audit::{audit_snapshot, render_audit, Check, Verdict};
 pub use census::Census;
-#[allow(deprecated)]
-pub use config::paper_rows;
 pub use config::{
     best_helix, best_pdoall, table2_rows, Config, DepMode, ExecModel, FnMode, ReducMode,
 };

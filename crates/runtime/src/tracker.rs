@@ -19,7 +19,7 @@
 //! Every load/store event consults last-writer state, and every block
 //! entry consults the loop tables — so neither may hash (DESIGN.md §10).
 //! Last-writer state lives in **one run-global shadow memory**
-//! ([`ShadowTable`]) stamping each word with its last store's *absolute*
+//! (`ShadowTable`) stamping each word with its last store's *absolute*
 //! time: a store writes one stamp no matter how deep the loop nest, a
 //! load compares that stamp against each level's instance/iteration start
 //! (two compares; iteration numbers are re-derived by binary search only
@@ -35,8 +35,7 @@ use crate::profile::{
 use crate::witness::{WitnessReport, WitnessState};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, Purity};
 use lp_interp::{
-    BatchKind, BlockBatch, EventSink, Exec, ExecUnit, Fidelity, MachineConfig, MemStats,
-    MeteredSink, RunResult, Value, STACK_BASE,
+    EventSink, Exec, ExecUnit, MachineConfig, MemStats, MeteredSink, RunResult, Value, STACK_BASE,
 };
 use lp_ir::fx::FxHashMap;
 use lp_ir::{BlockId, Builtin, FuncId, Inst, Module, ValueId, ValueKind};
@@ -572,8 +571,7 @@ impl<'a> Profiler<'a> {
         self.conflict_scan(addr, w, now);
     }
 
-    /// The load slow path, shared verbatim by the per-instruction stream
-    /// and the batched decode loop: walks every active loop level and
+    /// The load slow path: walks every active loop level and
     /// records the cross-iteration RAW conflicts `w` produces for the
     /// load of `addr` at `now`. Only reached when the last-writer stamp
     /// predates the innermost current iteration — rare by construction.
@@ -714,17 +712,10 @@ impl<'a> Profiler<'a> {
     }
 }
 
-impl Profiler<'_> {
-    /// The block-entry consume path, shared by the per-instruction
-    /// callback and the batch decoder. Returns whether loop or witness
-    /// state (stack membership, iteration starts, activation) may have
-    /// changed — the decoder refreshes its per-block hoists only then,
-    /// so mid-body block entries (the majority) stay branch-cheap.
-    #[inline]
-    fn consume_block_entry(&mut self, func: FuncId, block: BlockId, now: u64) -> bool {
+impl EventSink for Profiler<'_> {
+    fn block_entered(&mut self, func: FuncId, block: BlockId, _cost: u64, now: u64) {
         let stamp = now;
         self.now = self.now.max(now);
-        let mut changed = false;
         // Close loops (of this frame) the control flow has left.
         while let Some(top) = self.loop_stack.last() {
             if top.frame_depth != self.call_depth || top.func != func.0 {
@@ -734,7 +725,6 @@ impl Profiler<'_> {
                 break;
             }
             self.close_top_loop(stamp);
-            changed = true;
         }
         // Header entry: new iteration of the top instance, or a new
         // instance.
@@ -743,7 +733,6 @@ impl Profiler<'_> {
             .copied()
             .unwrap_or(NONE);
         if lid != NONE {
-            changed = true;
             let is_top = self.loop_stack.last().is_some_and(|t| {
                 t.frame_depth == self.call_depth && t.func == func.0 && t.loop_id == lid
             });
@@ -791,13 +780,6 @@ impl Profiler<'_> {
                 }
             }
         }
-        changed
-    }
-}
-
-impl EventSink for Profiler<'_> {
-    fn block_entered(&mut self, func: FuncId, block: BlockId, _cost: u64, now: u64) {
-        self.consume_block_entry(func, block, now);
     }
 
     fn phi_resolved(
@@ -923,149 +905,6 @@ impl EventSink for Profiler<'_> {
 
     fn mem_stats(&mut self, stats: MemStats) {
         self.mem_stats = stats;
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        // Native batch consumer: the bytecode engine delivers one
-        // [`BlockBatch`] per executed block instead of one virtual call
-        // per event. The tree-walk engine ignores this and keeps the
-        // per-instruction stream — both paths are pinned byte-identical
-        // by the engine differential suite.
-        Fidelity::Block
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        // The opening block-entry event first: it can open or close loop
-        // regions and (de)activate witnesses, all of which the hoisted
-        // per-block state below must reflect.
-        if let Some(entry) = &batch.entry {
-            self.block_entered(batch.func, batch.block, entry.cost, entry.now);
-        }
-        if batch.is_empty() {
-            return;
-        }
-        // Per-block hoists — the work the per-instruction path repeats
-        // for every event. Everything hoisted here is invariant between
-        // block entries: `loop_stack` membership, `frames`, `call_depth`,
-        // and the witness active set are only mutated at block and
-        // function boundaries, never by the load/store/phi/def events
-        // in between — so the hoists refresh only at in-stream `Enter`
-        // markers, amortized over the whole multi-block batch.
-        let func = batch.func;
-        let mut cur_block = batch.block;
-        let mut witness_active = self.witness.as_ref().is_some_and(|w| w.any_active());
-        let mut in_loop = !self.loop_stack.is_empty();
-        let mut top_iter_start = self.loop_stack.last().map_or(0, |t| t.iter_start);
-        // Any stamp older than the *outermost* active instance start
-        // makes `conflict_scan` a guaranteed no-op (its first per-level
-        // test excludes every level before any tally is touched), so one
-        // hoisted compare replaces the whole level walk for init-phase
-        // producers — the dominant cold-load case in fill-then-consume
-        // kernels.
-        let mut scan_floor = self.loop_stack.first().map_or(0, |al| al.iter_starts[0]);
-        // Batch-local same-page run caches: consecutive accesses to one
-        // shadow page (strided array walks — the common case) resolve
-        // the page once and index the stamp arena directly. Page arena
-        // indices are stable (the arena only grows), and loads read the
-        // arena in place, so an in-batch store to a load-cached page is
-        // still observed; the caches stay valid across `Enter` markers
-        // for the same reason. The one hazard — a load cached `NONE`
-        // for a page a later in-batch store then allocates — is closed
-        // by the store path syncing the load cache when it resolves the
-        // same page, so next-iteration loads inside the batch see the
-        // fresh producer stamp.
-        let mut load_run_page = u64::MAX;
-        let mut load_run_idx = NONE;
-        let mut store_run_page = u64::MAX;
-        let mut store_run_idx = NONE;
-        // `self.now` is only read at batch boundaries (region pushes,
-        // finish) and at block entries (which refresh it themselves), so
-        // one deferred update per batch replaces one per event; `now`
-        // stamps are nondecreasing within a batch, making the final
-        // value identical.
-        let mut batch_now = 0u64;
-        let vals = batch.vals();
-        let mut vi = 0usize;
-        for (kind, payload, now) in batch.raw_events() {
-            match kind {
-                BatchKind::Load => {
-                    batch_now = now;
-                    if witness_active {
-                        self.witness_access(payload, false);
-                    }
-                    if !in_loop {
-                        continue;
-                    }
-                    let word = payload >> SHADOW_WORD_BITS;
-                    let page = word >> SHADOW_PAGE_BITS;
-                    if page != load_run_page {
-                        load_run_page = page;
-                        load_run_idx = self.shadow.lookup(page).unwrap_or(NONE);
-                    }
-                    let w = if load_run_idx == NONE {
-                        EMPTY_STAMP
-                    } else {
-                        self.shadow.pages[load_run_idx as usize][(word & SHADOW_PAGE_MASK) as usize]
-                    };
-                    // Same fast paths as `track_access`: written during
-                    // the innermost current iteration (or never), or so
-                    // long ago the scan would exclude every level.
-                    if w.t >= top_iter_start || w.t < scan_floor {
-                        continue;
-                    }
-                    self.conflict_scan(payload, w, now);
-                }
-                BatchKind::Store => {
-                    batch_now = now;
-                    if witness_active {
-                        self.witness_access(payload, true);
-                    }
-                    // As in `track_access`: a store with no loop active
-                    // can never become a cross-iteration producer.
-                    if !in_loop {
-                        continue;
-                    }
-                    let push = self.owner_frame_push(payload);
-                    let word = payload >> SHADOW_WORD_BITS;
-                    let page = word >> SHADOW_PAGE_BITS;
-                    if page != store_run_page {
-                        store_run_page = page;
-                        store_run_idx = self.shadow.lookup_or_alloc(page);
-                        // A load may have cached this page as absent
-                        // before the allocation; repoint it so in-batch
-                        // consumers observe this store's stamp.
-                        if load_run_page == page && load_run_idx == NONE {
-                            load_run_idx = store_run_idx;
-                        }
-                    }
-                    self.shadow.pages[store_run_idx as usize][(word & SHADOW_PAGE_MASK) as usize] =
-                        Stamp { t: now, push };
-                }
-                BatchKind::Phi => {
-                    let value = vals[vi];
-                    vi += 1;
-                    self.phi_resolved(func, cur_block, ValueId(payload as u32), value, now);
-                }
-                BatchKind::Def => {
-                    let val = vals[vi];
-                    vi += 1;
-                    self.value_defined(func, ValueId(payload as u32), val, now);
-                }
-                BatchKind::Enter => {
-                    cur_block = BlockId(payload as u32);
-                    if self.consume_block_entry(func, cur_block, now) {
-                        // The entry iterated, opened, or closed loops
-                        // (and may have toggled witnesses): refresh the
-                        // hoists. Mid-body entries change nothing.
-                        witness_active = self.witness.as_ref().is_some_and(|w| w.any_active());
-                        in_loop = !self.loop_stack.is_empty();
-                        top_iter_start = self.loop_stack.last().map_or(0, |t| t.iter_start);
-                        scan_floor = self.loop_stack.first().map_or(0, |al| al.iter_starts[0]);
-                    }
-                }
-            }
-        }
-        self.now = self.now.max(batch_now);
     }
 }
 
