@@ -20,7 +20,9 @@
 //! always-on journaling overhead (`journal_overhead` in `totals`, the
 //! median over per-rep aggregates) exceeds 3% beyond its own MAD-based
 //! noise allowance. Counters of the hot-path caches (`mem_page_cache_*`,
-//! `shadow_page_cache_*`) ride along in the `counters` object.
+//! `shadow_page_cache_*`) ride along in the `counters` object; it holds
+//! the end-to-end sweep's increments alone, so `--reps` leaves it
+//! unchanged.
 //!
 //! `--trend FILE` appends one `lp-trend-v1` record (bench id, reps,
 //! median-of-reps throughput, machine digest, key counters, optional
@@ -183,6 +185,19 @@ fn measure(bench: &Benchmark, scale: Scale, reps: u32, engine: Engine) -> Row {
         profile_reps,
         profile_nojournal_reps,
     }
+}
+
+/// Non-zero counter increments since `before` (a counter snapshot), in
+/// export order.
+fn counters_since(before: &[(String, u64)]) -> Vec<(String, u64)> {
+    lp_obs::counters()
+        .snapshot()
+        .into_iter()
+        .filter_map(|(name, now)| {
+            let was = before.iter().find(|(n, _)| *n == name).map_or(0, |e| e.1);
+            (now > was).then(|| (name, now - was))
+        })
+        .collect()
 }
 
 fn usage_exit() -> ! {
@@ -385,12 +400,14 @@ fn main() {
 
     // End-to-end: profile every picked benchmark once, evaluate the full
     // Table II row lattice against the shared profiles.
+    let counters_before = lp_obs::counters().snapshot();
     let (sweep_ns, n_points) = timed(|| {
         let runs = run_benchmarks(&picked, cli.scale, jobs, None, cli.engine);
         let table_rows = lp_runtime::table2_rows();
         let table = SweepTable::build(&runs, &table_rows, jobs);
         runs.len() * table.rows().len()
     });
+    let sweep_counters = counters_since(&counters_before);
 
     let t_insts: u64 = rows.iter().map(|r| r.insts).sum();
     let t_interp: u64 = rows.iter().map(|r| r.interp_ns).sum();
@@ -499,9 +516,9 @@ fn main() {
     w.end_object();
     w.key("counters");
     w.begin_object();
-    for (name, value) in lp_obs::counters().snapshot() {
-        w.key(&name);
-        w.uint(value);
+    for (name, value) in &sweep_counters {
+        w.key(name);
+        w.uint(*value);
     }
     w.end_object();
     if let Some(path) = &baseline_path {
@@ -576,7 +593,7 @@ fn main() {
             interp_mips: mips(t_insts, interp_med_ns as u64),
             slowdown: profile_med_ns / interp_med_ns.max(1.0),
             journal_overhead,
-            counters: lp_obs::counters().snapshot(),
+            counters: sweep_counters,
         };
         if let Err(e) = lp_obs::trend::append_ledger(path, &record) {
             eprintln!("cannot append trend record to {}: {e}", path.display());

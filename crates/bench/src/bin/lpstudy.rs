@@ -49,7 +49,7 @@ fn usage() -> ! {
     eprintln!("  dispatch-heat      profile the interpreter itself: ranked opcode and");
     eprintln!("                     opcode-pair dispatch heat over a suite (default eembc)");
     eprintln!("  replay             execute certified DOALL loops across real threads and");
-    eprintln!("                     byte-compare every run against a serial reference;");
+    eprintln!("                     byte-compare every run against the serial profiled run;");
     eprintln!("                     prints measured vs predicted speedup per loop and ends");
     eprintln!("                     with `N divergence(s)` (exit 1 on any divergence)");
     eprintln!("  --replay-out FILE  write the lp-replay-v1 JSON document (replay only)");
@@ -350,10 +350,11 @@ fn run_dispatch_heat(cli: &Cli, args: &[String]) {
 /// The `replay` subcommand: certify DOALL loops statically, gate them on
 /// the run-time independence witness, execute the survivors' iterations
 /// across real worker threads, and differentially validate every
-/// replayed run against a plain serial reference. Prints a
-/// measured-vs-predicted speedup table per benchmark; the last line is
-/// always `... N divergence(s)` so CI can `grep '0 divergence(s)'`. Any
-/// divergence is a hard failure (exit 1) naming the culprit loop.
+/// replayed run against the witness run, which is the unreplayed serial
+/// reference. Prints a measured-vs-predicted speedup table per
+/// benchmark; the last line is always `... N divergence(s)` so CI can
+/// `grep '0 divergence(s)'`. Any divergence is a hard failure (exit 1)
+/// naming the culprit loop.
 fn run_replay(cli: &Cli, args: &[String]) {
     let mut suite_name = "eembc".to_string();
     let mut out: Option<std::path::PathBuf> = None;

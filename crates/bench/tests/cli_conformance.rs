@@ -370,3 +370,43 @@ fn closed_stdout_ends_quietly() {
         }
     }
 }
+
+#[test]
+fn lpbench_counters_do_not_scale_with_reps() {
+    // The `counters` object and the trend record's counters hold one
+    // end-to-end pass's increments, not process totals: `--reps 1` and
+    // `--reps 2` used to report 3 and 5 profiles taken. One job keeps
+    // the scheduling counters (tasks stolen) out of the comparison.
+    let dir = std::env::temp_dir();
+    let counters_at = |reps: &str| {
+        let ledger = dir.join(format!("lp-reps-{reps}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&ledger);
+        let out = run(
+            "lpbench",
+            &[
+                "test",
+                "--bench",
+                "eembc.matrix01",
+                "--jobs",
+                "1",
+                "--reps",
+                reps,
+                "--trend",
+                ledger.to_str().unwrap(),
+            ],
+        );
+        assert!(out.status.success(), "lpbench: {}", stderr_of(&out));
+        let json = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        let start = json.find(r#""counters":{"#).expect("counters object");
+        let end = start + json[start..].find('}').expect("flat counters object");
+        let records = lp_obs::trend::read_ledger(&ledger).expect("ledger parses");
+        let _ = std::fs::remove_file(&ledger);
+        assert_eq!(records.len(), 1);
+        (json[start..=end].to_string(), records[0].counters.clone())
+    };
+    let (json1, trend1) = counters_at("1");
+    let (json2, trend2) = counters_at("2");
+    assert!(json1.contains(r#""profiles_taken":1,"#), "{json1}");
+    assert_eq!(json1, json2, "JSON counters depend on --reps");
+    assert_eq!(trend1, trend2, "trend counters depend on --reps");
+}

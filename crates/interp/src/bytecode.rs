@@ -444,7 +444,9 @@ impl<'a, S: EventSink> Machine<'a, S> {
         // so `pc` stays in range and operand indexing cannot go out of
         // bounds. `ExecUnit` is the only constructor of bytecode runs
         // and always pairs the compiled module with the module it was
-        // compiled from.
+        // compiled from. Debug builds check every one of these indices
+        // anyway: std's `get_unchecked` asserts its precondition when
+        // debug assertions are on, so debug test runs exercise the proof.
         macro_rules! reg {
             ($i:expr) => {
                 unsafe { *regs.get_unchecked($i as usize) }

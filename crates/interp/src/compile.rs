@@ -577,6 +577,7 @@ fn lower(d: &InstData) -> Bc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::BcFunc;
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{Global, IcmpPred, Type};
 
@@ -745,5 +746,52 @@ mod tests {
         assert_eq!(bf.code.len(), 1);
         assert!(matches!(bf.code[0], Bc::Ret { .. }));
         assert_eq!(bf.entry_cost, 1);
+    }
+
+    /// Compiles `sum_module`, lets `corrupt` damage its one function
+    /// (given the register-file length), and re-validates.
+    fn validate_corrupted(corrupt: impl FnOnce(&mut BcFunc, u32)) {
+        let m = sum_module(4);
+        let mut compiled = compile_module(&m);
+        corrupt(&mut compiled.funcs[0], m.functions[0].values.len() as u32);
+        validate(&m, &compiled);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand")]
+    fn validate_rejects_an_out_of_range_operand() {
+        validate_corrupted(|bf, nregs| {
+            for inst in &mut bf.code {
+                if let Bc::Ret { val } = inst {
+                    *val = nregs;
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "edge target")]
+    fn validate_rejects_an_out_of_range_edge_target() {
+        validate_corrupted(|bf, _| {
+            let end = bf.code.len() as u32;
+            bf.edges.iter_mut().for_each(|e| e.target = end);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "operand")]
+    fn validate_rejects_an_out_of_range_phi_move() {
+        validate_corrupted(|bf, nregs| {
+            let edge = bf.edges.iter_mut().find(|e| !e.moves.is_empty());
+            edge.expect("the header has phis").moves[0].1 = nregs;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fallthrough off the end")]
+    fn validate_rejects_fall_through_off_the_end() {
+        validate_corrupted(|bf, _| {
+            *bf.code.last_mut().unwrap() = Bc::Alloca { dst: 0, words: 1 };
+        });
     }
 }

@@ -119,7 +119,8 @@ pub struct TrendRecord {
     pub slowdown: f64,
     /// Journal-enabled vs journal-disabled profiling overhead.
     pub journal_overhead: f64,
-    /// Non-zero registry counters at the end of the run.
+    /// Non-zero registry counter increments of one end-to-end pass
+    /// (`lpbench`'s sweep), not process totals.
     pub counters: Vec<(String, u64)>,
 }
 

@@ -5,7 +5,7 @@
 //! profile. This module closes the loop by actually executing certified
 //! DOALL loops across worker threads and byte-comparing the outcome
 //! against a plain serial run. Per module, [`replay_module`] runs the
-//! five-stage pipeline:
+//! four-stage pipeline:
 //!
 //! 1. **Static certification** — `lp_analysis::certify` selects loops
 //!    whose shape guarantees the replay mechanism works (closed-form
@@ -16,20 +16,26 @@
 //!    all iteration footprints pairwise-disjoint. Loops whose witness
 //!    fails (or that never executed) are rejected *before any parallel
 //!    execution* — this is what catches a WAW-only false DOALL that RAW
-//!    profiling cannot see.
-//! 3. **Serial reference** — an unprofiled run records the final memory
-//!    image, captured output, return value, and exact dynamic cost.
-//! 4. **Replayed runs** — the interpreter re-runs the program twice with
+//!    profiling cannot see. The same run is the **serial reference**:
+//!    its final memory image, captured output, return value, and exact
+//!    dynamic cost are kept for stage 4. Event sinks receive values by
+//!    copy and never touch the machine, so a profiled run executes
+//!    exactly as an unprofiled one would; no second serial run is made.
+//! 3. **Replayed runs** — the interpreter re-runs the program twice with
 //!    the surviving loops' [`ReplayPlan`]s armed: once with one worker
 //!    (the timing baseline) and once with `jobs` workers, chunks fanned
 //!    out over [`parallel_map`] by [`ThreadedExec`], which wall-clocks
 //!    every replayed loop.
-//! 5. **Differential validation** — both replayed runs must match the
+//! 4. **Differential validation** — both replayed runs must match the
 //!    serial reference byte-for-byte: final global/heap memory (first
 //!    differing address reported), captured output, return value, and
 //!    dynamic cost. Any mismatch is a hard divergence naming the loop
 //!    (bisected by re-running with single-loop plans) — never a silent
 //!    wrong answer.
+//!
+//! A clean module therefore costs exactly three whole-program runs: the
+//! witnessed profile and the two replays. Bisection re-runs happen only
+//! after a divergence.
 //!
 //! Alongside the measured speedup (serial wall time of the loop's chunk
 //! execution over its parallel wall time), each loop reports the limit
@@ -368,8 +374,8 @@ fn bisect_culprit(
 /// module. See the module docs for the stages.
 ///
 /// # Errors
-/// Propagates interpreter traps from the profiled, serial, or replayed
-/// runs. A *divergence* is not an error — it is reported in
+/// Propagates interpreter traps from the profiled or replayed runs. A
+/// *divergence* is not an error — it is reported in
 /// [`BenchReplay::divergence`] (and counted on
 /// [`Counter::ReplayDivergences`]) so the caller can fail loudly with
 /// full context.
@@ -387,9 +393,10 @@ pub fn replay_module(
 
 /// As [`replay_module`] with an explicit top-level [`Engine`].
 ///
-/// The engine drives the profiled, serial-reference, and replayed
-/// top-level runs; replay chunk *workers* always execute the tree walk
-/// (chunks bypass the per-function dispatch the bytecode accelerates).
+/// The engine drives the witnessed profile run (which doubles as the
+/// serial reference) and both replayed top-level runs; replay chunk
+/// *workers* always execute the tree walk (chunks bypass the
+/// per-function dispatch the bytecode accelerates).
 ///
 /// # Errors
 /// See [`replay_module`].
@@ -413,7 +420,9 @@ pub fn replay_module_with(
         ..MachineConfig::default()
     };
     let unit = ExecUnit::with_engine(module, engine);
-    let (profile, _, witness) =
+    // The witnessed run is also the serial reference: sinks only
+    // observe, so its result and memory are those of a plain run.
+    let (profile, serial, mut serial_mem, witness) =
         profile_module_witnessed(module, &analysis, args, base_config.clone(), &targets)?;
 
     // Witness gate: at least one observed instance, all footprints
@@ -444,16 +453,6 @@ pub fn replay_module_with(
             .iter()
             .filter(|r| matches!(r.reason, RejectReason::Violation(_)))
             .count() as u64,
-    );
-
-    // Serial reference: plain run, no replay, no profiling.
-    let serial_out = Exec::new(&unit)
-        .config(base_config.clone())
-        .keep_memory(true)
-        .run(args)?;
-    let (serial, mut serial_mem) = (
-        serial_out.result,
-        serial_out.memory.expect("keep_memory was requested"),
     );
 
     // Replayed runs: 1 worker (timing baseline), then `jobs` workers.

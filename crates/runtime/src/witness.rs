@@ -23,14 +23,16 @@
 //!
 //! The check is exact over the *profiled* execution — the same
 //! profile-once/evaluate-many bargain the limit study itself makes —
-//! and every replayed run is additionally byte-compared against a
-//! serial run, so a witness that slips through still cannot produce a
-//! silently wrong result.
+//! and every replayed run is additionally byte-compared against that
+//! same (unreplayed, serial) run, so a witness that slips through still
+//! cannot produce a silently wrong result.
 
 use crate::profile::Profile;
 use crate::tracker::Profiler;
 use lp_analysis::{LoopId, ModuleAnalysis};
-use lp_interp::{Exec, ExecUnit, InterpError, MachineConfig, MeteredSink, RunResult, Value};
+use lp_interp::{
+    Exec, ExecUnit, InterpError, MachineConfig, Memory, MeteredSink, RunResult, Value,
+};
 use lp_ir::fx::FxHashMap;
 use lp_ir::{FuncId, Module};
 
@@ -317,7 +319,12 @@ impl WitnessState {
 }
 
 /// Profiles `module` while gathering independence witnesses for
-/// `targets`, returning the profile, the run result, and the evidence.
+/// `targets`, returning the profile, the run result, the final memory
+/// image, and the evidence.
+///
+/// Sinks only observe (they get values by copy and never touch the
+/// machine), so the run result and memory image are those of a plain
+/// serial run: replay uses them as its reference.
 ///
 /// # Errors
 /// Propagates interpreter traps.
@@ -327,19 +334,20 @@ pub fn profile_module_witnessed(
     args: &[Value],
     mut machine_config: MachineConfig,
     targets: &[(FuncId, LoopId)],
-) -> Result<(Profile, RunResult, WitnessReport), InterpError> {
+) -> Result<(Profile, RunResult, Memory, WitnessReport), InterpError> {
     let mut profiler = Profiler::new(module, analysis);
     profiler.enable_witness(targets, Vec::new());
     machine_config.watched_values = profiler.watched_values();
     let mut metered = MeteredSink::new(&mut profiler);
     let unit = ExecUnit::with_engine(module, machine_config.engine);
-    let result = Exec::new(&unit)
+    let out = Exec::new(&unit)
         .sink(&mut metered)
         .config(machine_config)
-        .run(args)?
-        .result;
+        .keep_memory(true)
+        .run(args)?;
+    let memory = out.memory.expect("keep_memory was requested");
     let (profile, report) = profiler.finish_with_witness();
-    Ok((profile, result, report))
+    Ok((profile, out.result, memory, report))
 }
 
 #[cfg(test)]
@@ -384,7 +392,7 @@ mod tests {
     fn witness(m: &Module) -> (Profile, WitnessReport) {
         let analysis = analyze_module(m);
         let targets = vec![(lp_ir::FuncId(0), LoopId(0))];
-        let (p, _, r) =
+        let (p, _, _, r) =
             profile_module_witnessed(m, &analysis, &[], MachineConfig::default(), &targets)
                 .unwrap();
         (p, r)
@@ -465,7 +473,7 @@ mod tests {
             fb.store(i, base); // would violate, but nobody is watching
         });
         let analysis = analyze_module(&m);
-        let (_, _, report) =
+        let (_, _, _, report) =
             profile_module_witnessed(&m, &analysis, &[], MachineConfig::default(), &[]).unwrap();
         assert!(report.witnesses.is_empty());
         assert!(!report.loop_holds(lp_ir::FuncId(0), LoopId(0)));

@@ -11,11 +11,12 @@
 //! fields aside).
 
 use lp_analysis::{analyze_module, LoopId, ModuleAnalysis};
-use lp_interp::{Engine, Exec, ExecUnit, InterpError, MachineConfig, TraceSink};
+use lp_interp::{Engine, Exec, ExecUnit, InterpError, MachineConfig, Memory, RunResult, TraceSink};
 use lp_ir::builder::FunctionBuilder;
 use lp_ir::{BlockId, Builtin, FuncId, Global, IcmpPred, Module, Type};
 use lp_runtime::{
-    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs,
+    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs, Profile,
+    WitnessReport,
 };
 use lp_suite::kernels::counted_loop;
 use lp_suite::Scale;
@@ -271,42 +272,81 @@ fn all_loops(module: &Module, analysis: &ModuleAnalysis) -> Vec<(FuncId, LoopId)
     targets
 }
 
-/// Witness-armed profiling run under `engine`: store-codec bytes plus
-/// the witness report's Debug rendering.
-fn witnessed_profile(module: &Module, engine: Engine) -> (Vec<u8>, String) {
-    let analysis = analyze_module(module);
-    let targets = all_loops(module, &analysis);
-    let config = MachineConfig {
+/// Output-capturing config for `engine`, as replay runs use.
+fn capturing(engine: Engine) -> MachineConfig {
+    MachineConfig {
+        capture_output: true,
         engine,
         ..MachineConfig::default()
-    };
-    let (profile, run, report) = profile_module_witnessed(module, &analysis, &[], config, &targets)
-        .unwrap_or_else(|e| {
+    }
+}
+
+/// Witness-armed profiling run under `engine` with every loop targeted
+/// and output captured.
+fn witnessed_run(module: &Module, engine: Engine) -> (Profile, RunResult, Memory, WitnessReport) {
+    let analysis = analyze_module(module);
+    let targets = all_loops(module, &analysis);
+    profile_module_witnessed(module, &analysis, &[], capturing(engine), &targets).unwrap_or_else(
+        |e| {
             panic!(
                 "{}: witnessed profiling trap under {}: {e}",
                 module.name,
                 engine.name()
             )
-        });
+        },
+    )
+}
+
+/// Witness-armed profiling run under `engine`: store-codec bytes plus
+/// the witness report's Debug rendering.
+fn witnessed_profile(module: &Module, engine: Engine) -> (Vec<u8>, String) {
+    let (profile, run, _, report) = witnessed_run(module, engine);
     (encode_entry(&profile, &run), format!("{report:?}"))
 }
 
 /// Witness-armed profiling is engine-invariant on every suite kernel:
 /// identical profile encodings and identical independence witnesses
 /// under tree and bc.
+///
+/// The witnessed run is also replay's serial reference, so under each
+/// engine it must execute exactly as an unobserved `NullSink` run does
+/// (the silent loop under bc): same final memory image, captured
+/// output, return value and dynamic cost.
 #[test]
 fn suite_witnessed_profiles_match_across_engines() {
     for b in lp_suite::registry() {
         let module = b.build(Scale::Test);
-        let (tree_bytes, tree_report) = witnessed_profile(&module, Engine::Tree);
-        let (bc_bytes, bc_report) = witnessed_profile(&module, Engine::Bc);
+        let mut encodings = Vec::new();
+        for engine in [Engine::Tree, Engine::Bc] {
+            let (profile, run, mut mem, report) = witnessed_run(&module, engine);
+            let plain = Exec::new(&ExecUnit::with_engine(&module, engine))
+                .config(capturing(engine))
+                .keep_memory(true)
+                .run(&[])
+                .unwrap_or_else(|e| panic!("{}: plain run trap under {engine:?}: {e}", b.name));
+            let mut plain_mem = plain.memory.expect("keep_memory was requested");
+            assert_eq!(
+                mem.first_difference(&mut plain_mem),
+                None,
+                "{}: witnessed and plain memory images differ under {engine:?}",
+                b.name
+            );
+            assert_eq!(
+                (&run.output, run.ret, run.cost),
+                (&plain.result.output, plain.result.ret, plain.result.cost),
+                "{}: witnessed and plain runs differ under {engine:?}",
+                b.name
+            );
+            encodings.push((encode_entry(&profile, &run), format!("{report:?}")));
+        }
+        let (tree, bc) = (&encodings[0], &encodings[1]);
         assert_eq!(
-            tree_bytes, bc_bytes,
+            tree.0, bc.0,
             "{}: witnessed profile encoding diverges between tree and bc",
             b.name
         );
         assert_eq!(
-            tree_report, bc_report,
+            tree.1, bc.1,
             "{}: witness report diverges between tree and bc",
             b.name
         );
