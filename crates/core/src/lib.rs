@@ -45,11 +45,12 @@ use lp_analysis::ModuleAnalysis;
 use lp_interp::{MachineConfig, RunResult};
 use lp_ir::Module;
 use lp_runtime::{
-    evaluate, evaluate_explained, Attribution, Census, Config, EvalOptions, EvalReport, ExecModel,
-    Jobs, Profile, ProfileStore, ProfilerOptions, SweepUnit,
+    evaluate, evaluate_explained, lattice_point, Attribution, Census, Config, EvalOptions,
+    EvalReport, ExecModel, Jobs, LatticeClasses, Profile, ProfileStore, ProfilerOptions, SweepUnit,
+    LATTICE_POINTS,
 };
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Commonly used items, re-exported for `use loopapalooza::prelude::*`.
 pub mod prelude {
@@ -106,11 +107,19 @@ impl From<lp_interp::InterpError> for Error {
 /// The profile is held behind an [`Arc`] so the parallel sweep engine
 /// can evaluate many `(model, config)` pairs concurrently against one
 /// shared, immutable profile (see [`Study::shared_profile`]).
+///
+/// Lattice points that provably get the same report
+/// ([`LatticeClasses`]) share one walk: each class's report is computed
+/// on first request and kept.
 #[derive(Debug)]
 pub struct Study {
     analysis: ModuleAnalysis,
     profile: Arc<Profile>,
     run: RunResult,
+    classes: LatticeClasses,
+    /// One slot per lattice point; only class representatives are
+    /// filled.
+    reports: Box<[OnceLock<EvalReport>]>,
 }
 
 impl Study {
@@ -164,15 +173,35 @@ impl Study {
         )?;
         Ok(Study {
             analysis,
+            classes: LatticeClasses::of(&profile),
             profile: Arc::new(profile),
             run,
+            reports: (0..LATTICE_POINTS).map(|_| OnceLock::new()).collect(),
         })
     }
 
     /// Evaluates one `(model, config)` pair against the stored profile.
+    ///
+    /// The first request in a class of equivalent points walks the
+    /// profile at the class representative; every other request is
+    /// answered from that report with its own `model` and `config`
+    /// ([`lp_obs::Counter::EvalsShared`]).
     #[must_use]
     pub fn evaluate(&self, model: ExecModel, config: Config) -> EvalReport {
-        evaluate(&self.profile, model, config)
+        let (rep_model, rep_config) = self.classes.representative(model, config);
+        let mut walked = false;
+        let report = self.reports[lattice_point(rep_model, rep_config)].get_or_init(|| {
+            walked = true;
+            evaluate(&self.profile, rep_model, rep_config)
+        });
+        if !walked {
+            lp_obs::counters().add(lp_obs::Counter::EvalsShared, 1);
+        }
+        EvalReport {
+            model,
+            config,
+            ..report.clone()
+        }
     }
 
     /// As [`Study::evaluate`], additionally attributing every loop's gap

@@ -79,7 +79,8 @@ pub enum Counter {
     LoopInstances,
     /// Instrumented profiling runs completed.
     ProfilesTaken,
-    /// `(model, config)` evaluations performed.
+    /// `(model, config)` evaluations performed: one per walk of a
+    /// profile's region tree.
     EvalsPerformed,
     /// Spans discarded because the registry hit its capacity.
     SpansDropped,
@@ -127,14 +128,17 @@ pub enum Counter {
     /// event path, which has been removed. Always 0; the slot and name
     /// stay so counter layouts and consumers remain stable.
     BatchBytesReused,
+    /// `(model, config)` points answered from the walk of an equivalent
+    /// point of the same profile instead of a walk of their own.
+    EvalsShared,
 }
 
 /// Number of distinct counter slots (scalar slots 0..=17 plus one
 /// reserved, the per-predictor pairs, then the store slots appended
 /// after the predictor block, then the hot-path cache slots, then the
-/// replay slots, then the batch-reuse slot — every historical slot
-/// stays stable).
-pub const COUNTER_SLOTS: usize = 30 + 2 * PredictorKind::ALL.len();
+/// replay slots, then the batch-reuse slot, then the shared-evaluation
+/// slot — every historical slot stays stable).
+pub const COUNTER_SLOTS: usize = 31 + 2 * PredictorKind::ALL.len();
 
 impl Counter {
     /// Every counter, in export order.
@@ -155,6 +159,7 @@ impl Counter {
             Counter::LoopInstances,
             Counter::ProfilesTaken,
             Counter::EvalsPerformed,
+            Counter::EvalsShared,
             Counter::SpansDropped,
             Counter::SweepProfileCacheHits,
             Counter::SweepTasksStolen,
@@ -220,6 +225,8 @@ impl Counter {
             Counter::ReplayDivergences => 38,
             // Allocation-reuse slot, appended after the replay block.
             Counter::BatchBytesReused => 39,
+            // Shared-evaluation slot, appended after the reuse slot.
+            Counter::EvalsShared => 40,
         }
     }
 
@@ -241,6 +248,7 @@ impl Counter {
             Counter::LoopInstances => "loop_instances".to_string(),
             Counter::ProfilesTaken => "profiles_taken".to_string(),
             Counter::EvalsPerformed => "evals_performed".to_string(),
+            Counter::EvalsShared => "evals_shared".to_string(),
             Counter::SpansDropped => "spans_dropped".to_string(),
             Counter::SweepProfileCacheHits => "sweep_profile_cache_hits".to_string(),
             Counter::SweepTasksStolen => "sweep_tasks_stolen".to_string(),

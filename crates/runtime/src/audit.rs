@@ -162,17 +162,16 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         format!("shadow={shadow} mem={mem}"),
     ));
 
-    // A sweep evaluation either shares a profile or performs one; the
-    // share count can't exceed the evaluations that wanted a profile.
+    // Every sweep point that reused a profile was answered, by a walk
+    // of its own or from an equivalent point's walk; the profile-share
+    // count can't exceed the points answered.
     let shared = c("sweep_profile_cache_hits");
+    let answered = c("evals_performed") + c("evals_shared");
     checks.push(check(
         "sweep_sharing_within_evals",
-        shared <= c("evals_performed"),
+        shared <= answered,
         shared == 0,
-        format!(
-            "sweep_profile_cache_hits={shared} evals_performed={}",
-            c("evals_performed")
-        ),
+        format!("sweep_profile_cache_hits={shared} evals_performed+evals_shared={answered}"),
     ));
 
     // Journal ring occupancy: retained records can't exceed the ring
@@ -299,6 +298,27 @@ mod tests {
         assert!(broken("loop_iterations_per_instance"));
         let report = render_audit(&checks);
         assert!(report.contains("2 failed"));
+    }
+
+    #[test]
+    fn sweep_sharing_counts_points_answered_from_shared_walks() {
+        let verdict = |reg: &Registry| {
+            audit_snapshot(&capture(reg, "audit-sweep"))
+                .into_iter()
+                .find(|c| c.name == "sweep_sharing_within_evals")
+                .map(|c| c.verdict)
+                .unwrap()
+        };
+        // 96 points of one profile: 95 profile reuses, 24 walks and 72
+        // answers from equivalent points' walks.
+        let reg = Registry::new();
+        reg.counters().add(Counter::SweepProfileCacheHits, 95);
+        reg.counters().add(Counter::EvalsPerformed, 24);
+        reg.counters().add(Counter::EvalsShared, 72);
+        assert_eq!(verdict(&reg), Verdict::Pass);
+        // More reuses than points answered is impossible.
+        reg.counters().add(Counter::SweepProfileCacheHits, 2);
+        assert_eq!(verdict(&reg), Verdict::Fail);
     }
 
     #[test]

@@ -87,6 +87,18 @@ impl Config {
     }
 }
 
+/// Number of `(model, config)` lattice points: 3 models × 32
+/// configurations.
+pub const LATTICE_POINTS: usize = 96;
+
+/// Dense position of `(model, config)` in `0..LATTICE_POINTS`:
+/// model-major in [`ExecModel::all`] order, then [`Config::lattice`]
+/// order.
+#[must_use]
+pub fn lattice_point(model: ExecModel, config: Config) -> usize {
+    model as usize * 32 + config.reduc as usize * 16 + config.dep as usize * 4 + config.fnm as usize
+}
+
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let r = match self.reduc {
@@ -276,6 +288,15 @@ mod tests {
             let (r, d, n) = (i / 16, (i / 4) % 4, i % 4);
             assert_eq!(c.to_string(), format!("reduc{r}-dep{d}-fn{n}"));
         }
+        let points: Vec<usize> = ExecModel::all()
+            .into_iter()
+            .flat_map(|m| {
+                Config::lattice()
+                    .into_iter()
+                    .map(move |c| lattice_point(m, c))
+            })
+            .collect();
+        assert_eq!(points, (0..LATTICE_POINTS).collect::<Vec<_>>());
     }
 
     #[test]

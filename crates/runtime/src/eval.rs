@@ -215,6 +215,82 @@ pub struct EvalOptions {
     pub cores: Option<u32>,
 }
 
+/// The `fn`-flag gate: whether `fnm` forces a loop instance whose calls
+/// are `class` serial.
+fn gates(fnm: FnMode, class: CallClass) -> bool {
+    match fnm {
+        FnMode::Fn0 => class > CallClass::NoCalls,
+        FnMode::Fn1 => class > CallClass::PureCalls,
+        FnMode::Fn2 => class > CallClass::InstrumentedCalls,
+        FnMode::Fn3 => false,
+    }
+}
+
+/// Which lattice points of one profile provably get the same
+/// [`EvalReport`], up to its `model` and `config` fields, so that each
+/// class needs only one walk.
+///
+/// Three rules, each read off the per-instance cost model, hold for any
+/// [`EvalOptions`]:
+///
+/// - **fn rule.** The `fn` flag enters only through the gate on each
+///   instance's [`CallClass`]. Two `fn` modes are equivalent when they
+///   gate the same subset of the call classes the profile's loop
+///   instances have.
+/// - **DOALL rule.** DOALL ignores `dep`: its arm forces every traced
+///   phi serial whatever `dep` is, and it reads neither the HELIX skew
+///   nor the mispredicted iterations.
+/// - **Partial-DOALL rule.** Under Partial-DOALL `dep0` and `dep1` share
+///   one arm (force the loop serial); the skews `dep1` adds are read
+///   only by HELIX.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatticeClasses {
+    /// Bit `c` is set when some loop instance's calls are
+    /// `CallClass` `c`.
+    call_classes: u8,
+}
+
+impl LatticeClasses {
+    /// The classes of `profile`'s lattice: one scan of its regions.
+    #[must_use]
+    pub fn of(profile: &Profile) -> LatticeClasses {
+        let call_classes = profile
+            .regions
+            .iter()
+            .filter_map(|r| match &r.kind {
+                RegionKind::Loop(inst) => Some(1u8 << inst.call_class as u8),
+                RegionKind::Call { .. } => None,
+            })
+            .fold(0, |mask, bit| mask | bit);
+        LatticeClasses { call_classes }
+    }
+
+    /// The representative of `(model, config)`'s class: the point with
+    /// the lowest `dep` and then the lowest `fn` flag among its
+    /// equivalents.
+    #[must_use]
+    pub fn representative(self, model: ExecModel, config: Config) -> (ExecModel, Config) {
+        let dep = match (model, config.dep) {
+            (ExecModel::Doall, _) | (ExecModel::PartialDoall, DepMode::Dep1) => DepMode::Dep0,
+            (_, dep) => dep,
+        };
+        let gated = |fnm: FnMode| {
+            [
+                CallClass::NoCalls,
+                CallClass::PureCalls,
+                CallClass::InstrumentedCalls,
+                CallClass::UnsafeCalls,
+            ]
+            .map(|class| self.call_classes & (1 << class as u8) != 0 && gates(fnm, class))
+        };
+        let fnm = [FnMode::Fn0, FnMode::Fn1, FnMode::Fn2, FnMode::Fn3]
+            .into_iter()
+            .find(|&fnm| gated(fnm) == gated(config.fnm))
+            .unwrap_or(config.fnm);
+        (model, Config { dep, fnm, ..config })
+    }
+}
+
 /// Evaluates `profile` under one `(model, config)` pair.
 #[must_use]
 pub fn evaluate(profile: &Profile, model: ExecModel, config: Config) -> EvalReport {
@@ -480,13 +556,7 @@ impl Point {
         merged: &mut Vec<u32>,
         mut causes: Option<&mut Causes>,
     ) -> Option<u64> {
-        // fn-flag gate.
-        let gated = match self.config.fnm {
-            FnMode::Fn0 => inst.call_class > CallClass::NoCalls,
-            FnMode::Fn1 => inst.call_class > CallClass::PureCalls,
-            FnMode::Fn2 => inst.call_class > CallClass::InstrumentedCalls,
-            FnMode::Fn3 => false,
-        };
+        let gated = gates(self.config.fnm, inst.call_class);
         let mut forced = gated && !lift.fn_gate;
         let single_sync = self.options.doacross_single_sync;
         let mem = !lift.mem && inst.mem_edges > 0;

@@ -44,11 +44,12 @@ pub mod witness;
 pub use audit::{audit_snapshot, render_audit, Check, Verdict};
 pub use census::Census;
 pub use config::{
-    best_helix, best_pdoall, table2_rows, Config, DepMode, ExecModel, FnMode, ReducMode,
+    best_helix, best_pdoall, lattice_point, table2_rows, Config, DepMode, ExecModel, FnMode,
+    ReducMode, LATTICE_POINTS,
 };
 pub use eval::{
     evaluate, evaluate_explained, evaluate_explained_with, evaluate_with, EvalOptions, EvalReport,
-    LoopSummary,
+    LatticeClasses, LoopSummary,
 };
 pub use explain::{Attribution, Limiter, LimiterKind, LoopAttribution};
 pub use export::{collapsed_stacks, Export, SweepExport};

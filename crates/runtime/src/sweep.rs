@@ -17,10 +17,12 @@
 //!   task when, so every downstream report is byte-identical to the
 //!   serial run;
 //! - [`sweep`] / [`sweep_points`] evaluate a work-list of
-//!   [`SweepPoint`]s against shared profiles, counting profile-cache
-//!   hits ([`lp_obs::Counter::SweepProfileCacheHits`]) and tasks claimed
-//!   outside a worker's static shard
-//!   ([`lp_obs::Counter::SweepTasksStolen`]);
+//!   [`SweepPoint`]s against shared profiles, walking one point per
+//!   class of provably equivalent points
+//!   ([`crate::eval::LatticeClasses`]) and counting profile-cache hits
+//!   ([`lp_obs::Counter::SweepProfileCacheHits`]), shared answers
+//!   ([`lp_obs::Counter::EvalsShared`]) and tasks claimed outside a
+//!   worker's static shard ([`lp_obs::Counter::SweepTasksStolen`]);
 //! - per-worker observability (spans, counters) accumulates in
 //!   [`lp_obs::LocalStats`] and merges into the global registry in one
 //!   flush per worker, so concurrent workers never race on a summary.
@@ -29,9 +31,10 @@
 //! exact code path the serial pipeline always took — which is what the
 //! determinism differential tests compare the parallel path against.
 
-use crate::config::{Config, ExecModel};
-use crate::eval::{evaluate_with, EvalOptions, EvalReport};
+use crate::config::{lattice_point, Config, ExecModel};
+use crate::eval::{evaluate_with, EvalOptions, EvalReport, LatticeClasses};
 use crate::profile::Profile;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -288,8 +291,13 @@ where
 /// profiles on `jobs` workers. Results come back in `points` order —
 /// byte-identical whatever the worker count.
 ///
-/// Every evaluation of a unit beyond its first is a profile-cache hit
-/// (the profile is shared, not re-taken); the engine credits them to
+/// Points are grouped by unit and [`LatticeClasses::representative`]:
+/// only one point per group is walked, in first-appearance order, and
+/// the others get a copy of its report with their own `model` and
+/// `config` ([`lp_obs::Counter::EvalsShared`]).
+///
+/// Every point of a unit beyond its first is a profile-cache hit (the
+/// profile is shared, not re-taken); the engine credits them to
 /// [`lp_obs::Counter::SweepProfileCacheHits`].
 ///
 /// # Panics
@@ -307,10 +315,45 @@ pub fn sweep_points(
         points.len() as u64,
         jobs.get() as u64,
     );
-    let reports = parallel_map(points, jobs, |_, p| {
-        evaluate_with(&units[p.unit].profile, p.model, p.config, options)
+    let classes: Vec<LatticeClasses> = units
+        .iter()
+        .map(|u| LatticeClasses::of(&u.profile))
+        .collect();
+    let mut first_walk = HashMap::new();
+    let mut walks: Vec<SweepPoint> = Vec::new();
+    let walk_of: Vec<usize> = points
+        .iter()
+        .map(|p| {
+            let (model, config) = classes[p.unit].representative(p.model, p.config);
+            *first_walk
+                .entry((p.unit, lattice_point(model, config)))
+                .or_insert_with(|| {
+                    walks.push(SweepPoint {
+                        unit: p.unit,
+                        model,
+                        config,
+                    });
+                    walks.len() - 1
+                })
+        })
+        .collect();
+    let walked = parallel_map(&walks, jobs, |_, w| {
+        evaluate_with(&units[w.unit].profile, w.model, w.config, options)
     });
-    let distinct: std::collections::HashSet<usize> = points.iter().map(|p| p.unit).collect();
+    let reports = points
+        .iter()
+        .zip(walk_of)
+        .map(|(p, w)| EvalReport {
+            model: p.model,
+            config: p.config,
+            ..walked[w].clone()
+        })
+        .collect();
+    lp_obs::counters().add(
+        lp_obs::Counter::EvalsShared,
+        (points.len() - walks.len()) as u64,
+    );
+    let distinct: HashSet<usize> = points.iter().map(|p| p.unit).collect();
     lp_obs::counters().add(
         lp_obs::Counter::SweepProfileCacheHits,
         (points.len() - distinct.len()) as u64,
@@ -540,14 +583,15 @@ mod tests {
         assert!(kinds.contains(&lp_obs::EventKind::SweepCompleted));
         assert!(kinds.contains(&lp_obs::EventKind::SweepTaskDone));
         // Per-task breadcrumbs carry (done, total) with done <= total.
+        // The tasks are the walks: the call-free profile has 2 DOALL,
+        // 6 Partial-DOALL and 8 HELIX classes.
+        let walks = 2 + 6 + 8;
         let done_recs: Vec<_> = records
             .iter()
             .filter(|r| r.kind == lp_obs::EventKind::SweepTaskDone)
             .collect();
         assert!(done_recs.iter().all(|r| r.a >= 1 && r.a <= r.b));
-        assert!(done_recs
-            .iter()
-            .any(|r| r.b == points.len() as u64 && r.a == r.b));
+        assert!(done_recs.iter().any(|r| r.b == walks && r.a == r.b));
     }
 
     #[test]

@@ -5,12 +5,12 @@
 
 use lp_interp::{Exec, ExecUnit};
 use lp_ir::builder::FunctionBuilder;
-use lp_ir::{Global, Module, Type, ValueId};
+use lp_ir::{Builtin, Global, Module, Type, ValueId};
 use lp_predict::{HybridPredictor, LastValue, Predictor, Stride};
 use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost};
 use lp_runtime::{
-    evaluate, evaluate_explained, evaluate_with, profile_module, sweep, Config, EvalOptions,
-    ExecModel, Jobs, RegionKind, SweepUnit,
+    evaluate, evaluate_explained, evaluate_with, profile_module, sweep, CallClass, Config,
+    EvalOptions, EvalReport, ExecModel, Jobs, LatticeClasses, RegionKind, SweepUnit,
 };
 use lp_suite::kernels::counted_loop;
 use proptest::prelude::*;
@@ -32,6 +32,19 @@ enum LoopSpec {
     Cell { n: i64 },
     /// Nested: outer DOALL over inner reduction.
     Nested { outer: i64, inner: i64 },
+    /// Calls from the loop body, one call class per variant.
+    Call { n: i64, callee: CallKind },
+}
+
+/// What a [`LoopSpec::Call`] body calls.
+#[derive(Debug, Clone, Copy)]
+enum CallKind {
+    /// The pure user function `sq(x) = x * x + 1`.
+    Pure,
+    /// The thread-safe builtin `memset` on the iteration's own word.
+    ThreadSafe,
+    /// The I/O builtin `print_i64`.
+    Io,
 }
 
 fn loop_spec() -> impl Strategy<Value = LoopSpec> {
@@ -41,7 +54,27 @@ fn loop_spec() -> impl Strategy<Value = LoopSpec> {
         (2i64..40, 1i64..1_000_000).prop_map(|(n, seed)| LoopSpec::Lcg { n, seed }),
         (2i64..40).prop_map(|n| LoopSpec::Cell { n }),
         (2i64..12, 2i64..12).prop_map(|(outer, inner)| LoopSpec::Nested { outer, inner }),
+        (
+            2i64..40,
+            prop_oneof![
+                Just(CallKind::Pure),
+                Just(CallKind::ThreadSafe),
+                Just(CallKind::Io)
+            ]
+        )
+            .prop_map(|(n, callee)| LoopSpec::Call { n, callee }),
     ]
+}
+
+/// Adds `sq(x) = x * x + 1`, a function the call graph proves pure.
+fn add_pure_sq(module: &mut Module) -> lp_ir::FuncId {
+    let mut fb = FunctionBuilder::new("sq", &[Type::I64], Type::I64);
+    let x = fb.param(0);
+    let one = fb.const_i64(1);
+    let xx = fb.mul(x, x);
+    let r = fb.add(xx, one);
+    fb.ret(Some(r));
+    module.add_function(fb.finish().expect("sq is complete"))
 }
 
 /// Builds a runnable module from a list of loop specs.
@@ -49,6 +82,7 @@ fn build_program(specs: &[LoopSpec]) -> Module {
     let mut module = Module::new("prop");
     let array = module.add_global(Global::zeroed("a", 256));
     let cell = module.add_global(Global::zeroed("c", 2));
+    let sq = add_pure_sq(&mut module);
     let mut fb = FunctionBuilder::new("main", &[], Type::I64);
     let base = fb.global_addr(array);
     let cellp = fb.global_addr(cell);
@@ -115,12 +149,92 @@ fn build_program(specs: &[LoopSpec]) -> Module {
                 });
                 phis[0]
             }
+            LoopSpec::Call { n, callee } => {
+                let nn = fb.const_i64(n);
+                let slots = fb.const_i64(200);
+                counted_loop(&mut fb, nn, &[], |fb, i, _| {
+                    let idx = fb.srem(i, slots);
+                    let a = fb.gep(base, idx, 8, 0);
+                    match callee {
+                        CallKind::Pure => {
+                            let r = fb.call(sq, Type::I64, &[i]);
+                            fb.store(r, a);
+                        }
+                        CallKind::ThreadSafe => {
+                            let bytes = fb.const_i64(8);
+                            fb.call_builtin(Builtin::Memset, &[a, i, bytes]);
+                        }
+                        CallKind::Io => {
+                            fb.call_builtin(Builtin::PrintI64, &[i]);
+                        }
+                    }
+                    vec![]
+                });
+                fb.const_i64(n)
+            }
         };
         checksum = fb.xor(checksum, v);
     }
     fb.ret(Some(checksum));
     module.add_function(fb.finish().expect("generated program is complete"));
     module
+}
+
+/// Every evaluator knob combination the properties check: unbounded
+/// and 1..=8 cores, each with and without the DOACROSS ablation.
+fn evaluator_options() -> Vec<EvalOptions> {
+    let mut options = Vec::new();
+    for cores in [None].into_iter().chain((1..=8).map(Some)) {
+        for doacross_single_sync in [false, true] {
+            options.push(EvalOptions {
+                doacross_single_sync,
+                cores,
+            });
+        }
+    }
+    options
+}
+
+/// The generator reaches every [`CallClass`]: one loop per call kind
+/// next to a call-free loop.
+#[test]
+fn call_specs_cover_every_call_class() {
+    let specs = [
+        LoopSpec::Fill { n: 4, mul: 3 },
+        LoopSpec::Call {
+            n: 4,
+            callee: CallKind::Pure,
+        },
+        LoopSpec::Call {
+            n: 4,
+            callee: CallKind::ThreadSafe,
+        },
+        LoopSpec::Call {
+            n: 4,
+            callee: CallKind::Io,
+        },
+    ];
+    let module = build_program(&specs);
+    let analysis = lp_analysis::analyze_module(&module);
+    let (profile, _) =
+        profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
+    let classes: Vec<CallClass> = profile
+        .regions
+        .iter()
+        .filter_map(|r| match &r.kind {
+            RegionKind::Loop(inst) => Some(inst.call_class),
+            RegionKind::Call { .. } => None,
+        })
+        .collect();
+    assert_eq!(
+        classes,
+        [
+            CallClass::NoCalls,
+            CallClass::PureCalls,
+            CallClass::InstrumentedCalls,
+            CallClass::UnsafeCalls
+        ]
+    );
 }
 
 proptest! {
@@ -192,7 +306,9 @@ proptest! {
         // The sweep engine's profile-once/evaluate-many caching must be
         // invisible: evaluating on a shared `Arc<Profile>` (as parallel
         // sweep workers do) must equal evaluating on a profile taken by
-        // an independent fresh run, for every model and configuration.
+        // an independent fresh run, for every model and configuration,
+        // including the points answered from an equivalent point's walk,
+        // at any job count.
         let module = build_program(&specs);
         let analysis = lp_analysis::analyze_module(&module);
         let (cached, _) =
@@ -202,19 +318,22 @@ proptest! {
         let units = [SweepUnit::new("prop", std::sync::Arc::new(cached))];
         let models = ExecModel::all();
         let configs = Config::all();
-        let swept = sweep(&units, &models, &configs, Jobs::new(2), EvalOptions::default());
-        let mut idx = 0;
-        for &model in &models {
-            for &config in &configs {
-                let reference = evaluate(&fresh, model, config);
-                prop_assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{:?}", swept[idx]),
-                    "{} {}",
-                    model,
-                    config
-                );
-                idx += 1;
+        for jobs in [1, 2, 3] {
+            let swept = sweep(&units, &models, &configs, Jobs::new(jobs), EvalOptions::default());
+            let mut idx = 0;
+            for &model in &models {
+                for &config in &configs {
+                    let reference = evaluate(&fresh, model, config);
+                    prop_assert_eq!(
+                        format!("{reference:?}"),
+                        format!("{:?}", swept[idx]),
+                        "{} {} jobs={}",
+                        model,
+                        config,
+                        jobs
+                    );
+                    idx += 1;
+                }
             }
         }
     }
@@ -262,12 +381,7 @@ proptest! {
         let analysis = lp_analysis::analyze_module(&module);
         let (profile, _) =
             profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
-        let mut options = Vec::new();
-        for cores in [None].into_iter().chain((1..=8).map(Some)) {
-            for doacross_single_sync in [false, true] {
-                options.push(EvalOptions { doacross_single_sync, cores });
-            }
-        }
+        let options = evaluator_options();
         for model in ExecModel::all() {
             for config in Config::all() {
                 let reference =
@@ -279,6 +393,37 @@ proptest! {
                     let reference = format!("{:?}", reference_evaluate(&profile, model, config, o));
                     let with = evaluate_with(&profile, model, config, o);
                     prop_assert_eq!(format!("{with:?}"), reference, "{} {} {:?}", model, config, o);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_class_representatives_reproduce_every_point(
+        specs in prop::collection::vec(loop_spec(), 1..5)
+    ) {
+        // Each point's report equals its class representative's with
+        // `model`/`config` rewritten, under every evaluator option; the
+        // reference fold restates the cost rules independently.
+        let module = build_program(&specs);
+        let analysis = lp_analysis::analyze_module(&module);
+        let (profile, _) =
+            profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
+        let classes = LatticeClasses::of(&profile);
+        for model in ExecModel::all() {
+            for config in Config::all() {
+                let (rep_model, rep_config) = classes.representative(model, config);
+                for o in evaluator_options() {
+                    let at_rep = EvalReport {
+                        model,
+                        config,
+                        ..reference_evaluate(&profile, rep_model, rep_config, o)
+                    };
+                    prop_assert_eq!(
+                        format!("{at_rep:?}"),
+                        format!("{:?}", reference_evaluate(&profile, model, config, o)),
+                        "{} {} via {} {} {:?}", model, config, rep_model, rep_config, o
+                    );
                 }
             }
         }
