@@ -1,18 +1,19 @@
-//! lpbench — wall-clock throughput harness for the profiler inner loop.
+//! `lpstudy bench` — wall-clock throughput harness for the profiler
+//! inner loop.
 //!
 //! Measures, per benchmark, the plain interpreter (NullSink) and the
 //! fully instrumented profiler run (best of `--reps` repetitions), plus
 //! one end-to-end sweep (profile + full Table II evaluation lattice),
-//! and emits a machine-readable `BENCH_profiler.json`:
+//! and emits a machine-readable `lpbench-v1` report:
 //!
 //! ```text
-//! cargo run --release -p lp-bench --bin lpbench -- small --out results/BENCH_profiler.json
+//! cargo run --release -p lp-bench -- bench small --out results/BENCH_profiler.json
 //! ```
 //!
-//! `--baseline FILE` embeds the totals of a previous lpbench run into
-//! the new report (the before/after record the perf trajectory keeps);
-//! `--check FILE` compares the current *slowdown ratio* (interpreter
-//! throughput ÷ profiler throughput — hardware-independent, unlike raw
+//! `--baseline FILE` embeds the totals of a previous report into the new
+//! one (the before/after record the perf trajectory keeps); `--check
+//! FILE` compares the current *slowdown ratio* (interpreter throughput ÷
+//! profiler throughput — hardware-independent, unlike raw
 //! instructions/sec) against a checked-in baseline and exits 1 when the
 //! profiler regressed more than 30%, which is what the CI smoke job
 //! gates on. Each benchmark is additionally profiled with the
@@ -26,10 +27,10 @@
 //!
 //! `--trend FILE` appends one `lp-trend-v1` record (bench id, reps,
 //! median-of-reps throughput, machine digest, key counters, optional
-//! `--label`) to an append-only run ledger; the `lpbench trend`
-//! subcommand summarises a ledger, and `lpbench trend --check` exits 2
-//! when the newest record falls below the robust noise band of its own
-//! history (see `lp_obs::trend`).
+//! `--label`) to an append-only run ledger; `lpstudy trend` summarises a
+//! ledger, and `lpstudy trend --check` exits 2 when the newest record
+//! falls below the robust noise band of its own history (see
+//! `lp_obs::trend`).
 
 use lp_analysis::analyze_module;
 use lp_bench::{run_benchmarks, Cli, SweepTable};
@@ -96,7 +97,7 @@ fn json_number(fragment: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// The baseline summary lifted out of a previous lpbench report.
+/// The baseline summary lifted out of a previous bench report.
 struct Baseline {
     interp_mips: f64,
     profile_mips: f64,
@@ -202,10 +203,10 @@ fn counters_since(before: &[(String, u64)]) -> Vec<(String, u64)> {
 
 fn usage_exit() -> ! {
     eprintln!(
-        "usage: lpbench [test|small|default] [--engine tree|bc] [--bench NAME]... [--reps N] \
-         [--out FILE] [--baseline FILE] [--check FILE] [--trend FILE] [--label TEXT] [--jobs N] \
-         [--quiet]\n\
-         \x20      lpbench trend [--ledger FILE] [--check] [--window N] [--min-history N]"
+        "usage: lpstudy bench [test|small|default] [--engine tree|bc] [--bench NAME]... \
+         [--reps N] [--out FILE] [--baseline FILE] [--check FILE] [--trend FILE] \
+         [--label TEXT] [--jobs N] [--quiet]\n\
+         \x20      lpstudy trend [--ledger FILE] [--check] [--window N] [--min-history N]"
     );
     std::process::exit(2);
 }
@@ -223,15 +224,15 @@ fn machine_digest() -> String {
     format!("{:016x}", lp_obs::trend::fnv1a(text.as_bytes()))
 }
 
-/// The `lpbench trend` subcommand: summarise the run ledger and, with
+/// The `lpstudy trend` subcommand: summarise the run ledger and, with
 /// `--check`, judge the newest record against the MAD noise band of its
 /// own series — exit 2 on a regression (the distinct code CI gates on).
-fn run_trend(cli: &Cli) -> ! {
+pub fn trend(args: &[String]) -> ! {
     let mut ledger = PathBuf::from("results/BENCH_trend.jsonl");
     let mut check = false;
     let mut window = lp_obs::trend::DEFAULT_WINDOW;
     let mut min_history = lp_obs::trend::DEFAULT_MIN_HISTORY;
-    let mut rest = cli.rest.iter().skip(1);
+    let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
             "--ledger" => match rest.next() {
@@ -326,12 +327,8 @@ fn run_trend(cli: &Cli) -> ! {
     std::process::exit(0);
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.enforce("lpbench");
-    if cli.rest.first().map(String::as_str) == Some("trend") {
-        run_trend(&cli);
-    }
+/// The `lpstudy bench` subcommand (see the module docs).
+pub fn run(cli: &Cli, args: &[String]) {
     let mut reps: u32 = 3;
     let mut out: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
@@ -339,7 +336,7 @@ fn main() {
     let mut trend_path: Option<PathBuf> = None;
     let mut label = String::new();
     let mut picked: Vec<Benchmark> = Vec::new();
-    let mut rest = cli.rest.iter();
+    let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
             "--bench" => match rest.next().map(|n| lp_suite::find(n)) {
@@ -558,7 +555,7 @@ fn main() {
                 w.end_object();
             }
             None => {
-                eprintln!("cannot read lpbench baseline {}", path.display());
+                eprintln!("cannot read bench baseline {}", path.display());
                 std::process::exit(2);
             }
         }
@@ -621,7 +618,7 @@ fn main() {
             };
             if encoded(Engine::Tree) != encoded(Engine::Bc) {
                 eprintln!(
-                    "lpbench check FAILED: {} profiles diverge between --engine tree and bc",
+                    "bench check FAILED: {} profiles diverge between --engine tree and bc",
                     b.name
                 );
                 std::process::exit(1);
@@ -632,7 +629,7 @@ fn main() {
             picked.len()
         );
         let Some(base) = read_baseline(path) else {
-            eprintln!("cannot read lpbench baseline {}", path.display());
+            eprintln!("cannot read bench baseline {}", path.display());
             std::process::exit(2);
         };
         // The slowdown ratio (profiler time per instruction over plain
@@ -642,7 +639,7 @@ fn main() {
         let limit = base.slowdown * (1.0 + CHECK_TOLERANCE);
         if cur_slowdown > limit {
             eprintln!(
-                "lpbench check FAILED: profiler slowdown {cur_slowdown:.3}x exceeds baseline \
+                "bench check FAILED: profiler slowdown {cur_slowdown:.3}x exceeds baseline \
                  {:.3}x by more than {:.0}% (limit {limit:.3}x)",
                 base.slowdown,
                 CHECK_TOLERANCE * 100.0
@@ -655,7 +652,7 @@ fn main() {
         let overhead_floor = journal_overhead - 1.4826 * journal_overhead_mad;
         if overhead_floor > JOURNAL_TOLERANCE {
             eprintln!(
-                "lpbench check FAILED: always-on journaling overhead {:.1}% (median of {nreps} \
+                "bench check FAILED: always-on journaling overhead {:.1}% (median of {nreps} \
                  rep(s), MAD {:.2}%) exceeds {:.0}% beyond measurement noise",
                 journal_overhead * 100.0,
                 journal_overhead_mad * 100.0,
@@ -664,7 +661,7 @@ fn main() {
             std::process::exit(1);
         }
         lp_info!(
-            "lpbench check passed: slowdown {:.3}x vs baseline {:.3}x (limit {:.3}x), \
+            "bench check passed: slowdown {:.3}x vs baseline {:.3}x (limit {:.3}x), \
              journal overhead {:.2}% (MAD {:.2}%)",
             cur_slowdown,
             base.slowdown,

@@ -1,4 +1,5 @@
-//! `lpstudy` — study your own kernel from the command line.
+//! `lpstudy` — the one study binary: study your own kernel from the
+//! command line, and regenerate every table and figure of the paper.
 //!
 //! Reads a textual-IR module (see `lp_ir::parser` for the format, or
 //! print any suite benchmark with `--dump`), runs the Loopapalooza
@@ -13,13 +14,23 @@
 //! gates) that kept the loop away from its ideal conflict-free cost,
 //! with counterfactual "lifting this alone unlocks ≤N×" bounds.
 //!
+//! The paper's artifacts are subcommands too (`table1`, `table2`,
+//! `fig1`–`fig5`, `ablations`, `scaling`, `sweep`; see [`figures`]), as
+//! is the profiler throughput harness (`bench`, `trend`; see [`mod@bench`]).
+//! Each subcommand's flags are checked against its `FLAG_SPECS` row.
+//!
 //! ```text
-//! cargo run --release -p lp-bench --bin lpstudy -- path/to/kernel.lp
-//! cargo run --release -p lp-bench --bin lpstudy -- --dump 181.mcf   # print a benchmark as text
-//! cargo run --release -p lp-bench --bin lpstudy -- --bench 456.hmmer
-//! cargo run --release -p lp-bench --bin lpstudy -- --trace-out trace.json
-//! cargo run --release -p lp-bench --bin lpstudy -- explain --explain-out explain.json
+//! cargo run --release -p lp-bench -- path/to/kernel.lp
+//! cargo run --release -p lp-bench -- --dump 181.mcf   # print a benchmark as text
+//! cargo run --release -p lp-bench -- --bench 456.hmmer
+//! cargo run --release -p lp-bench -- --trace-out trace.json
+//! cargo run --release -p lp-bench -- explain --explain-out explain.json
+//! cargo run --release -p lp-bench -- fig2 default
+//! cargo run --release -p lp-bench -- sweep default --quiet > results/sweep.csv
 //! ```
+
+mod bench;
+mod figures;
 
 use loopapalooza::Study;
 use lp_bench::{run_suites, write_explain, Cli, SweepTable};
@@ -36,10 +47,13 @@ fn usage() -> ! {
     eprintln!("                | dispatch-heat [--suite <name>]");
     eprintln!("                | replay [--suite <name>] [--replay-out FILE]");
     eprintln!("                | diff <a.json> <b.json> [--json] [--include-timing]");
-    eprintln!("                       [--noise-floor N] | audit <snap.json>]");
-    eprintln!("               [--jobs N] [--profile-cache DIR] [--trace-out FILE]");
-    eprintln!("               [--explain-out FILE] [--flight-out FILE] [--metrics-out FILE]");
-    eprintln!("               [--snapshot-out FILE] [--sample-hz N] [--quiet]");
+    eprintln!("                       [--noise-floor N] | audit <snap.json>");
+    eprintln!("                | table1 | table2 | fig1 | fig2 | fig3 | fig4 | fig5");
+    eprintln!("                | ablations | scaling | sweep [--suite <name>]...");
+    eprintln!("                | bench [...] | trend [...]]");
+    eprintln!("               [test|small|default] [--jobs N] [--engine tree|bc]");
+    eprintln!("               [--profile-cache DIR] [--trace-out FILE] [--explain-out FILE]");
+    eprintln!("               [--flight-out FILE] [--snapshot-out FILE] [--sample-hz N] [--quiet]");
     eprintln!("  <file.lp>          study a textual-IR module");
     eprintln!("  --bench NAME       study a registered benchmark (e.g. 456.hmmer)");
     eprintln!("  --suite NAME       study a whole suite (eembc, cint2000, cfp2000, ...)");
@@ -57,6 +71,9 @@ fn usage() -> ! {
     eprintln!("                     --snapshot-out captures (last line: N significant ...)");
     eprintln!("  audit SNAP         check cross-counter conservation laws over a snapshot");
     eprintln!("                     (exit 1 on any violation)");
+    eprintln!("  table1 ... scaling regenerate a paper table, figure, or ablation (results/*.txt)");
+    eprintln!("  sweep              print the full lattice as CSV (results/sweep.csv)");
+    eprintln!("  bench, trend       profiler throughput report and its run ledger");
     eprintln!("  (no input)         study a built-in demo kernel ({DEMO_BENCH})");
     eprintln!("  --jobs N           sweep worker count (default: LP_JOBS or all cores;");
     eprintln!("                     the printed output is identical for any value)");
@@ -65,11 +82,25 @@ fn usage() -> ! {
     eprintln!("  --trace-out FILE   write a Chrome trace_event JSON of the run");
     eprintln!("  --explain-out FILE write limiter-attribution JSON (+ .collapsed stacks)");
     eprintln!("  --flight-out FILE  dump the flight-recorder journal (also on panic/SIGUSR1)");
-    eprintln!("  --metrics-out FILE write a Prometheus text exposition of all counters");
     eprintln!("  --snapshot-out FILE write the cross-run registry snapshot (diff/audit input)");
     eprintln!("  --sample-hz N      dispatch-heat sampling rate (default 997 Hz)");
     eprintln!("  --quiet            suppress progress logging (see also LP_LOG=off|info|debug)");
     std::process::exit(2);
+}
+
+/// The suite labelled `name`; an unknown name is a usage error (exit 2)
+/// that lists the suites.
+fn suite_named(name: &str) -> SuiteId {
+    SuiteId::all()
+        .into_iter()
+        .find(|s| s.label() == name)
+        .unwrap_or_else(|| {
+            eprintln!("unknown suite {name:?}; expected one of:");
+            for s in SuiteId::all() {
+                eprintln!("  {}", s.label());
+            }
+            std::process::exit(2);
+        })
 }
 
 /// Rejects any rest argument beyond the `consumed` count — unknown flags
@@ -116,13 +147,7 @@ fn demo_module(doing: &str) -> lp_ir::Module {
 /// per-row GEOMEAN table plus a per-benchmark summary under the best
 /// HELIX configuration. Output is byte-identical for any worker count.
 fn run_suite(cli: &Cli, name: &str) {
-    let Some(suite) = SuiteId::all().into_iter().find(|s| s.label() == name) else {
-        eprintln!("unknown suite {name:?}; expected one of:");
-        for s in SuiteId::all() {
-            eprintln!("  {}", s.label());
-        }
-        std::process::exit(2);
-    };
+    let suite = suite_named(name);
     let jobs = cli.jobs();
     let store = cli.store();
     let runs = run_suites(&[suite], cli.scale, jobs, store.as_ref(), cli.engine);
@@ -224,7 +249,7 @@ fn opname(op: u8) -> &'static str {
 /// adds the wall-time view.
 fn run_dispatch_heat(cli: &Cli, args: &[String]) {
     let mut suite_name = "eembc";
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--suite" => match args.get(i + 1) {
@@ -237,13 +262,7 @@ fn run_dispatch_heat(cli: &Cli, args: &[String]) {
             _ => usage(),
         }
     }
-    let Some(suite) = SuiteId::all().into_iter().find(|s| s.label() == suite_name) else {
-        eprintln!("unknown suite {suite_name:?}; expected one of:");
-        for s in SuiteId::all() {
-            eprintln!("  {}", s.label());
-        }
-        std::process::exit(2);
-    };
+    let suite = suite_named(suite_name);
 
     let hz = cli.sample_hz.unwrap_or(997).min(100_000) as u32;
     let counters = lp_obs::counters();
@@ -358,7 +377,7 @@ fn run_dispatch_heat(cli: &Cli, args: &[String]) {
 fn run_replay(cli: &Cli, args: &[String]) {
     let mut suite_name = "eembc".to_string();
     let mut out: Option<std::path::PathBuf> = None;
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--suite" => match args.get(i + 1) {
@@ -384,13 +403,7 @@ fn run_replay(cli: &Cli, args: &[String]) {
             _ => usage(),
         }
     }
-    let Some(suite) = SuiteId::all().into_iter().find(|s| s.label() == suite_name) else {
-        eprintln!("unknown suite {suite_name:?}; expected one of:");
-        for s in SuiteId::all() {
-            eprintln!("  {}", s.label());
-        }
-        std::process::exit(2);
-    };
+    let suite = suite_named(&suite_name);
     let jobs = cli.jobs();
     println!(
         "parallel DOALL replay: suite {}, {} worker(s)",
@@ -495,7 +508,7 @@ fn run_diff(args: &[String]) {
     let mut paths = Vec::new();
     let mut opts = lp_obs::DiffOptions::default();
     let mut json = false;
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--json" => {
@@ -535,8 +548,8 @@ fn run_diff(args: &[String]) {
 /// The `audit` subcommand: assert the cross-counter conservation laws
 /// over one snapshot; any violated law is a non-zero exit.
 fn run_audit(args: &[String]) {
-    let path = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-    expect_consumed(args, 2);
+    let path = args.first().map(String::as_str).unwrap_or_else(|| usage());
+    expect_consumed(args, 1);
     let snap = read_snapshot(path);
     let checks = lp_runtime::audit_snapshot(&snap);
     print!("{}", lp_runtime::render_audit(&checks));
@@ -547,16 +560,44 @@ fn run_audit(args: &[String]) {
 
 fn main() {
     let cli = Cli::parse();
-    let args = &cli.rest;
+    let (spec, args) = cli.enforce();
+    match spec.command {
+        "table1" => figures::table1(&cli),
+        "table2" => figures::table2(&cli),
+        "fig1" => figures::fig1(&cli),
+        "fig2" => figures::fig2(&cli),
+        "fig3" => figures::fig3(&cli),
+        "fig4" => figures::fig4(&cli),
+        "fig5" => figures::fig5(&cli),
+        "ablations" => figures::ablations(&cli),
+        "scaling" => figures::scaling(&cli),
+        "sweep" => figures::sweep(&cli, spec, args),
+        "bench" => bench::run(&cli, args),
+        "trend" => bench::trend(args),
+        "diff" => run_diff(args),
+        "audit" => run_audit(args),
+        "dispatch-heat" => run_dispatch_heat(&cli, args),
+        "replay" => run_replay(&cli, args),
+        "explain" => {
+            let module = match args.first().map(String::as_str) {
+                Some(what) if !what.starts_with("--") => {
+                    expect_consumed(args, 1);
+                    load(what)
+                }
+                Some(_) => usage(),
+                None => demo_module("explaining"),
+            };
+            run_explain(&cli, &module);
+        }
+        _ => study(&cli, args),
+    }
+}
+
+/// The study modes that take no subcommand word: `--dump`, `--analyze`,
+/// `--suite`, and the single-module study of `--bench NAME`, a textual-IR
+/// file, or the built-in demo kernel.
+fn study(cli: &Cli, args: &[String]) {
     let module = match args.first().map(String::as_str) {
-        Some("diff") => {
-            run_diff(args);
-            return;
-        }
-        Some("audit") => {
-            run_audit(args);
-            return;
-        }
         Some("--dump") => {
             let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             expect_consumed(args, 2);
@@ -584,7 +625,7 @@ fn main() {
         Some("--suite") => {
             let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             expect_consumed(args, 2);
-            run_suite(&cli, name);
+            run_suite(cli, name);
             return;
         }
         Some("--bench") => {
@@ -596,26 +637,6 @@ fn main() {
             });
             let _span = span!("parse");
             bench.build(cli.scale)
-        }
-        Some("dispatch-heat") => {
-            run_dispatch_heat(&cli, args);
-            return;
-        }
-        Some("replay") => {
-            run_replay(&cli, args);
-            return;
-        }
-        Some("explain") => {
-            let module = match args.get(1).map(String::as_str) {
-                Some(what) if !what.starts_with("--") => {
-                    expect_consumed(args, 2);
-                    load(what)
-                }
-                Some(_) => usage(),
-                None => demo_module("explaining"),
-            };
-            run_explain(&cli, &module);
-            return;
         }
         Some(path) if !path.starts_with("--") => {
             expect_consumed(args, 1);

@@ -1,30 +1,36 @@
 //! # lp-bench — experiment regeneration harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! One binary, `lpstudy`, regenerates every table and figure of the
+//! paper as a subcommand (see DESIGN.md §5), next to its study,
+//! attribution, replay and telemetry modes:
 //!
-//! | target | regenerates |
+//! | subcommand | regenerates |
 //! |---|---|
-//! | `table1` | Table I (ordering-constraint census) |
-//! | `table2` | Table II (configuration flags) |
-//! | `fig1` | Fig. 1 (execution-model timelines) |
-//! | `fig2` | Fig. 2 (GEOMEAN speedups, non-numeric) |
-//! | `fig3` | Fig. 3 (GEOMEAN speedups, numeric) |
-//! | `fig4` | Fig. 4 (per-benchmark best PDOALL vs best HELIX) |
-//! | `fig5` | Fig. 5 (dynamic coverage) |
-//! | `ablations` | DESIGN.md ablations (cactus stack, DOACROSS deltas, predictors) |
+//! | `lpstudy table1` | Table I (ordering-constraint census) |
+//! | `lpstudy table2` | Table II (configuration flags) |
+//! | `lpstudy fig1` | Fig. 1 (execution-model timelines) |
+//! | `lpstudy fig2` | Fig. 2 (GEOMEAN speedups, non-numeric) |
+//! | `lpstudy fig3` | Fig. 3 (GEOMEAN speedups, numeric) |
+//! | `lpstudy fig4` | Fig. 4 (per-benchmark best PDOALL vs best HELIX) |
+//! | `lpstudy fig5` | Fig. 5 (dynamic coverage) |
+//! | `lpstudy ablations` | DESIGN.md ablations (cactus stack, DOACROSS deltas, predictors) |
+//! | `lpstudy scaling` | core-count scaling curves |
+//! | `lpstudy sweep` | the full lattice as CSV (`results/sweep.csv`) |
+//! | `lpstudy bench` / `lpstudy trend` | profiler throughput report and its run ledger |
 //!
-//! Every binary accepts an optional scale argument (`test`, `small`,
+//! Every subcommand accepts an optional scale argument (`test`, `small`,
 //! `default`), a `--jobs N` worker count for the parallel sweep engine
 //! (default: `LP_JOBS` or the machine's available parallelism; output is
 //! byte-identical for any value), a `--profile-cache DIR` persistent
 //! profile store (see `lp_runtime::store`; `LP_PROFILE_CACHE=off|ro|rw`
 //! selects the mode), plus the shared observability flags
-//! `--trace-out FILE` (Chrome `trace_event` JSON), `--explain-out FILE`
-//! (limiter-attribution JSON, where supported), `--snapshot-out FILE`
-//! (cross-run registry snapshot, diffable with `lpstudy diff`), and
-//! `--quiet`; the
-//! `LP_LOG` environment variable (`off`, `info`, `debug`) filters
-//! progress output. Criterion performance benches live in `benches/`.
+//! `--trace-out FILE` (Chrome `trace_event` JSON), `--snapshot-out FILE`
+//! (cross-run registry snapshot, diffable with `lpstudy diff`),
+//! `--flight-out FILE` and `--quiet`. `--explain-out FILE`
+//! (limiter-attribution JSON) and `--sample-hz N` are accepted only by
+//! the subcommands that read them ([`FLAG_SPECS`]). The `LP_LOG`
+//! environment variable (`off`, `info`, `debug`) filters progress
+//! output. Criterion performance benches live in `benches/`.
 
 use loopapalooza::Study;
 use lp_obs::{lp_debug, lp_info, lp_warn};
@@ -35,106 +41,129 @@ use lp_runtime::{
 use lp_suite::{Benchmark, Scale, SuiteId};
 use std::path::{Path, PathBuf};
 
-/// How a binary treats arguments the shared [`Cli`] parser did not
+/// How a subcommand treats arguments the shared [`Cli`] parser did not
 /// consume (see [`FlagSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtraArgs {
     /// Leftover arguments are a usage error (exit 2).
     Rejected,
-    /// Leftover arguments are the binary's own positionals ([`Cli::rest`]).
+    /// Leftover arguments are the subcommand's own (see [`Cli::enforce`]).
     Passthrough,
 }
 
-/// Declarative per-binary command-line contract. One row per experiment
-/// binary, checked by [`Cli::enforce`].
+/// Declarative per-subcommand command-line contract, checked by
+/// [`Cli::enforce`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {
-    /// Binary name as invoked (and as printed in usage errors).
-    pub binary: &'static str,
-    /// Whether the binary has a limiter attribution to export
+    /// Subcommand name as typed after `lpstudy`; the row named `lpstudy`
+    /// covers the study modes that take no subcommand word.
+    pub command: &'static str,
+    /// Whether the subcommand has a limiter attribution to export
     /// (`--explain-out`).
     pub explain_out: bool,
+    /// Whether the subcommand reads `--sample-hz`.
+    pub sample_hz: bool,
     /// What happens to unconsumed arguments.
     pub extra: ExtraArgs,
 }
 
-/// The command-line contract of every experiment binary, in one place.
-pub const FLAG_SPECS: &[FlagSpec] = &[
+const fn row(
+    command: &'static str,
+    explain_out: bool,
+    sample_hz: bool,
+    extra: ExtraArgs,
+) -> FlagSpec {
     FlagSpec {
-        binary: "table1",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "table2",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "fig1",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "fig2",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "fig3",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "fig4",
-        explain_out: true,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "fig5",
-        explain_out: true,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "ablations",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "scaling",
-        explain_out: false,
-        extra: ExtraArgs::Rejected,
-    },
-    FlagSpec {
-        binary: "sweep",
-        explain_out: false,
-        extra: ExtraArgs::Passthrough,
-    },
-    FlagSpec {
-        binary: "lpstudy",
-        explain_out: true,
-        extra: ExtraArgs::Passthrough,
-    },
-    FlagSpec {
-        binary: "lpbench",
-        explain_out: false,
-        extra: ExtraArgs::Passthrough,
-    },
-];
-
-impl FlagSpec {
-    /// Looks up the contract of one binary.
-    #[must_use]
-    pub fn of(binary: &str) -> Option<&'static FlagSpec> {
-        FLAG_SPECS.iter().find(|s| s.binary == binary)
+        command,
+        explain_out,
+        sample_hz,
+        extra,
     }
 }
 
-/// Shared command line of the experiment binaries: an optional scale
-/// positional (`test`, `small`, `default`) plus the observability flags.
-/// Anything unrecognized lands in [`Cli::rest`]; each binary's
-/// [`FlagSpec`] (enforced via [`Cli::enforce`]) says whether that is a
-/// usage error or its own positionals (`lpstudy`, `sweep`).
+/// The command-line contract of every `lpstudy` subcommand, in one place.
+#[rustfmt::skip]
+pub const FLAG_SPECS: &[FlagSpec] = &[
+    //   command          explain_out sample_hz extra
+    row("lpstudy",        true,  false, ExtraArgs::Passthrough),
+    row("explain",        true,  false, ExtraArgs::Passthrough),
+    row("dispatch-heat",  false, true,  ExtraArgs::Passthrough),
+    row("replay",         false, false, ExtraArgs::Passthrough),
+    row("diff",           false, false, ExtraArgs::Passthrough),
+    row("audit",          false, false, ExtraArgs::Passthrough),
+    row("table1",         false, false, ExtraArgs::Rejected),
+    row("table2",         false, false, ExtraArgs::Rejected),
+    row("fig1",           false, false, ExtraArgs::Rejected),
+    row("fig2",           false, false, ExtraArgs::Rejected),
+    row("fig3",           false, false, ExtraArgs::Rejected),
+    row("fig4",           true,  false, ExtraArgs::Rejected),
+    row("fig5",           true,  false, ExtraArgs::Rejected),
+    row("ablations",      false, false, ExtraArgs::Rejected),
+    row("scaling",        false, false, ExtraArgs::Rejected),
+    row("sweep",          false, false, ExtraArgs::Passthrough),
+    row("bench",          false, false, ExtraArgs::Passthrough),
+    row("trend",          false, false, ExtraArgs::Passthrough),
+];
+
+impl FlagSpec {
+    /// Looks up the contract of one subcommand.
+    #[must_use]
+    pub fn of(command: &str) -> Option<&'static FlagSpec> {
+        FLAG_SPECS.iter().find(|s| s.command == command)
+    }
+
+    /// How the subcommand is invoked (`lpstudy fig2`), as usage errors
+    /// name it.
+    #[must_use]
+    pub fn invocation(&self) -> String {
+        if self.command == "lpstudy" {
+            "lpstudy".to_string()
+        } else {
+            format!("lpstudy {}", self.command)
+        }
+    }
+
+    /// Exits with a usage error (2) naming an argument this subcommand
+    /// does not take and listing the ones it does; `own` names the
+    /// subcommand's own flags (`"--suite NAME, "`), if any.
+    pub fn reject_argument(&self, extra: &str, own: &str) -> ! {
+        let explain = if self.explain_out {
+            "--explain-out FILE, "
+        } else {
+            ""
+        };
+        eprintln!(
+            "unknown argument {extra:?} (expected test|small|default, {own}--jobs N, \
+             --engine tree|bc, --trace-out FILE, {explain}--profile-cache DIR, \
+             --flight-out FILE, --snapshot-out FILE, --quiet)"
+        );
+        std::process::exit(2);
+    }
+
+    /// Exits with a usage error (2) when `flag` was `given` but this
+    /// subcommand does not read it, naming the subcommands that do.
+    fn reject_flag(&self, given: bool, flag: &str, reads: fn(&FlagSpec) -> bool) {
+        if given && !reads(self) {
+            let users: Vec<String> = FLAG_SPECS
+                .iter()
+                .filter(|s| reads(s))
+                .map(FlagSpec::invocation)
+                .collect();
+            eprintln!(
+                "{} does not support {flag} (use {})",
+                self.invocation(),
+                users.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Shared command line of `lpstudy`: an optional scale positional
+/// (`test`, `small`, `default`) plus the observability flags. Anything
+/// unrecognized lands in [`Cli::rest`], the subcommand word first; each
+/// subcommand's [`FlagSpec`] (enforced via [`Cli::enforce`]) says whether
+/// the rest is a usage error or its own arguments.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Benchmark scale (default [`Scale::Default`]).
@@ -142,7 +171,7 @@ pub struct Cli {
     /// Where to write the Chrome `trace_event` JSON, if requested.
     pub trace_out: Option<PathBuf>,
     /// Where to write the limiter-attribution JSON (`--explain-out`), if
-    /// requested. Binaries that support it also write a
+    /// requested. Subcommands that support it also write a
     /// flamegraph-compatible collapsed-stack file next to it.
     pub explain_out: Option<PathBuf>,
     /// `--quiet` suppresses all progress logging.
@@ -155,9 +184,6 @@ pub struct Cli {
     /// Where to dump the flight-recorder journal (`--flight-out`), if
     /// requested. The journal is also dumped there on panic or SIGUSR1.
     pub flight_out: Option<PathBuf>,
-    /// Where to write the Prometheus text exposition of the metrics
-    /// registry (`--metrics-out`), if requested.
-    pub metrics_out: Option<PathBuf>,
     /// Where to write the cross-run registry snapshot
     /// (`--snapshot-out`, schema `lp-snapshot-v1`), if requested — the
     /// input format of `lpstudy diff` and `lpstudy audit`.
@@ -175,7 +201,7 @@ pub struct Cli {
     pub rest: Vec<String>,
 }
 
-/// Restores the default `SIGPIPE` disposition, so a binary whose stdout
+/// Restores the default `SIGPIPE` disposition, so a process whose stdout
 /// is closed early (`sweep default | head -1`) ends quietly, as Unix
 /// filters do. The Rust runtime ignores `SIGPIPE` at start-up, which
 /// turns the closed pipe into an `EPIPE` error that `println!` panics on
@@ -226,7 +252,6 @@ impl Cli {
             jobs: None,
             profile_cache: None,
             flight_out: None,
-            metrics_out: None,
             snapshot_out: None,
             sample_hz: None,
             engine: lp_interp::Engine::default(),
@@ -275,13 +300,6 @@ impl Cli {
                     Some(path) => cli.flight_out = Some(PathBuf::from(path)),
                     None => {
                         eprintln!("--flight-out requires a file argument");
-                        std::process::exit(2);
-                    }
-                },
-                "--metrics-out" => match args.next() {
-                    Some(path) => cli.metrics_out = Some(PathBuf::from(path)),
-                    None => {
-                        eprintln!("--metrics-out requires a file argument");
                         std::process::exit(2);
                     }
                 },
@@ -363,7 +381,7 @@ impl Cli {
     /// The persistent profile store requested on this command line, if
     /// any: `LP_PROFILE_CACHE=off|ro|rw` selects the mode (default
     /// [`StoreMode::ReadWrite`] when `--profile-cache DIR` was given,
-    /// else off — no binary touches the filesystem unless asked);
+    /// else off — no subcommand touches the filesystem unless asked);
     /// `--profile-cache DIR` overrides the default directory
     /// (`results/.lp-cache`). A store that cannot be opened degrades to
     /// `None` with a warning — never an error exit.
@@ -414,50 +432,38 @@ impl Cli {
         }
     }
 
-    fn fail_extra_args(&self) {
-        if let Some(extra) = self.rest.first() {
-            eprintln!(
-                "unknown argument {extra:?} (expected test|small|default, --jobs N, \
-                 --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-                 --profile-cache DIR, --flight-out FILE, --metrics-out FILE, \
-                 --snapshot-out FILE, --sample-hz N, --quiet)"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    fn fail_explain_out(&self, binary: &str) {
-        if self.explain_out.is_some() {
-            eprintln!("{binary} does not support --explain-out (use lpstudy, fig4, or fig5)");
-            std::process::exit(2);
-        }
-    }
-
-    /// Checks this command line against the binary's [`FlagSpec`] table
+    /// Resolves the subcommand this command line names — its first
+    /// leftover argument when that is a [`FLAG_SPECS`] row, else the
+    /// `lpstudy` study modes — and checks the command line against that
     /// row: leftover arguments first (when [`ExtraArgs::Rejected`]), then
-    /// `--explain-out` support — the same order the binaries used to
-    /// hand-roll, so the diagnostics are unchanged.
+    /// `--explain-out`, then `--sample-hz`. Returns the row and the
+    /// subcommand's own arguments (the leftovers after its name).
     ///
     /// # Panics
-    /// Panics when `binary` has no [`FLAG_SPECS`] row (a programming
-    /// error, not a user one); exits the process with a usage error (2)
-    /// when the command line violates the spec.
-    pub fn enforce(&self, binary: &str) -> &'static FlagSpec {
-        let spec = FlagSpec::of(binary)
-            .unwrap_or_else(|| panic!("binary {binary:?} has no FLAG_SPECS row"));
-        if spec.extra == ExtraArgs::Rejected {
-            self.fail_extra_args();
+    /// Exits the process with a usage error (2) when the command line
+    /// violates the row.
+    pub fn enforce(&self) -> (&'static FlagSpec, &[String]) {
+        let (spec, args) = match self.rest.first().and_then(|word| FlagSpec::of(word)) {
+            Some(spec) if spec.command != "lpstudy" => (spec, &self.rest[1..]),
+            _ => (
+                FlagSpec::of("lpstudy").expect("FLAG_SPECS has an lpstudy row"),
+                &self.rest[..],
+            ),
+        };
+        if let (ExtraArgs::Rejected, Some(extra)) = (spec.extra, args.first()) {
+            spec.reject_argument(extra, "");
         }
-        if !spec.explain_out {
-            self.fail_explain_out(spec.binary);
-        }
-        spec
+        spec.reject_flag(self.explain_out.is_some(), "--explain-out", |s| {
+            s.explain_out
+        });
+        spec.reject_flag(self.sample_hz.is_some(), "--sample-hz", |s| s.sample_hz);
+        (spec, args)
     }
 
     /// End-of-run hook: dumps the observability summary at debug level
-    /// and writes the Chrome trace (`--trace-out`), the Prometheus text
-    /// exposition (`--metrics-out`), and the flight-recorder journal
-    /// (`--flight-out`) when requested.
+    /// and writes the Chrome trace (`--trace-out`), the registry snapshot
+    /// (`--snapshot-out`), and the flight-recorder journal (`--flight-out`)
+    /// when requested. `process` names the writer in both files.
     pub fn finish(&self, process: &str) {
         if lp_obs::log::enabled(lp_obs::Level::Debug) {
             eprint!("{}", lp_obs::summary(lp_obs::registry()));
@@ -467,15 +473,6 @@ impl Cli {
                 Ok(()) => lp_info!("wrote Chrome trace to {}", path.display()),
                 Err(e) => {
                     eprintln!("cannot write trace to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = &self.metrics_out {
-            match std::fs::write(path, lp_obs::prometheus::render_global()) {
-                Ok(()) => lp_info!("wrote metrics exposition to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write metrics to {}: {e}", path.display());
                     std::process::exit(1);
                 }
             }
@@ -612,12 +609,11 @@ pub fn run_suites(
 /// A precomputed `(run × row)` table of evaluation reports, built by one
 /// parallel sweep over every `(benchmark, model, config)` point.
 ///
-/// The figure binaries used to call `Study::evaluate` once per cell
-/// while rendering; building the whole table up front through
-/// [`lp_runtime::sweep_points`] lets all cells fan out over `--jobs`
-/// workers against the shared profiles, and the deterministic merge
-/// keeps every lookup — and therefore every rendered figure — identical
-/// for any worker count.
+/// Building the whole table up front through [`lp_runtime::sweep_points`],
+/// rather than evaluating each cell while rendering, lets all cells fan
+/// out over `--jobs` workers against the shared profiles, and the
+/// deterministic merge keeps every lookup — and therefore every
+/// rendered figure — identical for any worker count.
 #[derive(Debug)]
 pub struct SweepTable {
     rows: Vec<(ExecModel, Config)>,
@@ -701,38 +697,6 @@ pub fn log_bar(value: f64, max: f64, width: usize) -> String {
     bar
 }
 
-/// Geometric-mean speedup of `runs` restricted to `suite` under one row.
-#[must_use]
-pub fn suite_geomean_speedup(
-    runs: &[SuiteRun],
-    suite: SuiteId,
-    model: lp_runtime::ExecModel,
-    config: lp_runtime::Config,
-) -> f64 {
-    let values: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.suite == suite)
-        .map(|r| r.study.evaluate(model, config).speedup)
-        .collect();
-    lp_runtime::geomean(&values)
-}
-
-/// Geometric-mean coverage of `runs` restricted to `suite` under one row.
-#[must_use]
-pub fn suite_geomean_coverage(
-    runs: &[SuiteRun],
-    suite: SuiteId,
-    model: lp_runtime::ExecModel,
-    config: lp_runtime::Config,
-) -> f64 {
-    let values: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.suite == suite)
-        .map(|r| r.study.evaluate(model, config).coverage.max(0.01))
-        .collect();
-    lp_runtime::geomean(&values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,8 +715,6 @@ mod tests {
                 "3",
                 "--profile-cache",
                 "/tmp/lp-cache",
-                "--metrics-out",
-                "/tmp/m.prom",
                 "--snapshot-out",
                 "/tmp/s.json",
                 "--sample-hz",
@@ -783,10 +745,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/e.json"))
         );
         assert_eq!(
-            cli.metrics_out.as_deref(),
-            Some(std::path::Path::new("/tmp/m.prom"))
-        );
-        assert_eq!(
             cli.snapshot_out.as_deref(),
             Some(std::path::Path::new("/tmp/s.json"))
         );
@@ -803,32 +761,64 @@ mod tests {
         assert!(cli.jobs.is_none());
         assert!(cli.jobs().get() >= 1);
         assert!(cli.profile_cache.is_none());
-        assert!(cli.flight_out.is_none() && cli.metrics_out.is_none() && cli.sample_hz.is_none());
+        assert!(cli.flight_out.is_none() && cli.sample_hz.is_none());
         assert!(cli.snapshot_out.is_none());
         // Restore logging for the rest of the test process.
         lp_obs::log::set_level(lp_obs::Level::Off);
     }
 
     #[test]
-    fn flag_specs_cover_every_binary_once() {
+    fn flag_specs_cover_every_subcommand_once() {
         let mut seen = std::collections::HashSet::new();
         for spec in FLAG_SPECS {
-            assert!(seen.insert(spec.binary), "duplicate row {:?}", spec.binary);
-        }
-        assert_eq!(FLAG_SPECS.len(), 12);
-        // The explain-capable binaries named in the usage message.
-        for binary in ["lpstudy", "fig4", "fig5"] {
-            assert!(FlagSpec::of(binary).unwrap().explain_out, "{binary}");
-        }
-        // Binaries with their own positionals pass extras through.
-        for binary in ["lpstudy", "sweep", "lpbench"] {
-            assert_eq!(
-                FlagSpec::of(binary).unwrap().extra,
-                ExtraArgs::Passthrough,
-                "{binary}"
+            assert!(
+                seen.insert(spec.command),
+                "duplicate row {:?}",
+                spec.command
             );
         }
+        assert_eq!(FLAG_SPECS.len(), 18);
+        let with = |pick: fn(&FlagSpec) -> bool| -> Vec<&str> {
+            FLAG_SPECS
+                .iter()
+                .filter(|s| pick(s))
+                .map(|s| s.command)
+                .collect()
+        };
+        assert_eq!(
+            with(|s| s.explain_out),
+            ["lpstudy", "explain", "fig4", "fig5"]
+        );
+        assert_eq!(with(|s| s.sample_hz), ["dispatch-heat"]);
+        assert_eq!(FlagSpec::of("fig2").unwrap().invocation(), "lpstudy fig2");
+        assert_eq!(FlagSpec::of("lpstudy").unwrap().invocation(), "lpstudy");
         assert!(FlagSpec::of("nonesuch").is_none());
+    }
+
+    #[test]
+    fn enforce_resolves_the_subcommand_and_its_arguments() {
+        let enforce = |args: &[&str]| {
+            let cli = Cli::parse_from(args.iter().map(|a| a.to_string()));
+            let (spec, rest) = cli.enforce();
+            (spec.command, rest.to_vec())
+        };
+        assert_eq!(enforce(&["fig2", "test"]), ("fig2", vec![]));
+        assert_eq!(
+            enforce(&["sweep", "--suite", "eembc"]),
+            ("sweep", vec!["--suite".to_string(), "eembc".to_string()])
+        );
+        // Study modes keep every leftover: `--bench` is not `bench`.
+        assert_eq!(
+            enforce(&["--bench", "x"]),
+            ("lpstudy", vec!["--bench".to_string(), "x".to_string()])
+        );
+        assert_eq!(enforce(&["k.lp"]), ("lpstudy", vec!["k.lp".to_string()]));
+        assert_eq!(enforce(&[]), ("lpstudy", vec![]));
+        assert_eq!(
+            enforce(&["dispatch-heat", "--sample-hz", "5"]),
+            ("dispatch-heat", vec![])
+        );
+        lp_obs::log::set_level(lp_obs::Level::Off);
     }
 
     #[test]
@@ -895,9 +885,8 @@ mod tests {
             lp_interp::Engine::Bc,
         );
         assert_eq!(runs.len(), 10);
-        let (model, config) = lp_runtime::best_pdoall();
-        let gm = suite_geomean_speedup(&runs, SuiteId::Eembc, model, config);
-        assert!(gm >= 1.0);
+        let table = SweepTable::build(&runs, &[lp_runtime::best_pdoall()], Jobs::serial());
+        assert!(table.geomean_speedup(&runs, SuiteId::Eembc, 0) >= 1.0);
     }
 
     #[test]

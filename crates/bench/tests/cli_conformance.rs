@@ -1,40 +1,56 @@
-//! Pins the command-line contract of every experiment binary (the
+//! Pins the command-line contract of every `lpstudy` subcommand (the
 //! `FlagSpec` table): unknown or misplaced flags exit with status 2 and
-//! the exact historical diagnostics. A drift here breaks scripts that
-//! drive the binaries, so the messages are asserted byte-for-byte.
+//! the exact diagnostics. A drift here breaks scripts that drive the
+//! subcommands, so the messages are asserted byte-for-byte.
 
 use std::process::{Command, Output};
 
-/// The explain-capable binaries (per `FLAG_SPECS`).
-const EXPLAIN_OK: &[&str] = &["lpstudy", "fig4", "fig5"];
+/// The subcommands that reject every argument beyond the shared flags.
+const REJECTING: &[&str] = &[
+    "table1",
+    "table2",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "ablations",
+    "scaling",
+];
 
-/// Binary name → path, via the paths Cargo bakes into integration tests.
-fn exe(binary: &str) -> &'static str {
-    match binary {
-        "table1" => env!("CARGO_BIN_EXE_table1"),
-        "table2" => env!("CARGO_BIN_EXE_table2"),
-        "fig1" => env!("CARGO_BIN_EXE_fig1"),
-        "fig2" => env!("CARGO_BIN_EXE_fig2"),
-        "fig3" => env!("CARGO_BIN_EXE_fig3"),
-        "fig4" => env!("CARGO_BIN_EXE_fig4"),
-        "fig5" => env!("CARGO_BIN_EXE_fig5"),
-        "ablations" => env!("CARGO_BIN_EXE_ablations"),
-        "scaling" => env!("CARGO_BIN_EXE_scaling"),
-        "sweep" => env!("CARGO_BIN_EXE_sweep"),
-        "lpstudy" => env!("CARGO_BIN_EXE_lpstudy"),
-        "lpbench" => env!("CARGO_BIN_EXE_lpbench"),
-        other => panic!("unknown binary {other:?}"),
-    }
-}
+/// The subcommands with a limiter attribution to export (per
+/// `FLAG_SPECS`; `lpstudy` alone is the study modes).
+const EXPLAIN_OK: &[&str] = &["lpstudy", "explain", "fig4", "fig5"];
 
-fn run(binary: &str, args: &[&str]) -> Output {
-    Command::new(exe(binary))
+/// Every subcommand word, `lpstudy`'s own study modes excluded.
+const SUBCOMMANDS: &[&str] = &[
+    "explain",
+    "dispatch-heat",
+    "replay",
+    "diff",
+    "audit",
+    "table1",
+    "table2",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "ablations",
+    "scaling",
+    "sweep",
+    "bench",
+    "trend",
+];
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lpstudy"))
         .args(args)
         .env("LP_LOG", "off")
         .env_remove("LP_PROFILE_CACHE")
         .env_remove("LP_ENGINE")
         .output()
-        .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"))
+        .unwrap_or_else(|e| panic!("cannot spawn lpstudy {args:?}: {e}"))
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -43,70 +59,83 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn unknown_argument_exits_2_with_the_pinned_message() {
-    let rejecting = [
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "ablations",
-        "scaling",
-    ];
-    for binary in rejecting {
-        let out = run(binary, &["--bogus"]);
-        assert_eq!(out.status.code(), Some(2), "{binary}");
+    for &command in REJECTING {
+        let out = run(&[command, "--bogus"]);
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let explain = if EXPLAIN_OK.contains(&command) {
+            "--explain-out FILE, "
+        } else {
+            ""
+        };
         assert_eq!(
             stderr_of(&out),
-            "unknown argument \"--bogus\" (expected test|small|default, --jobs N, \
-             --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-             --profile-cache DIR, --flight-out FILE, --metrics-out FILE, \
-             --snapshot-out FILE, --sample-hz N, --quiet)\n",
-            "{binary}"
+            format!(
+                "unknown argument \"--bogus\" (expected test|small|default, --jobs N, \
+                 --engine tree|bc, --trace-out FILE, {explain}--profile-cache DIR, \
+                 --flight-out FILE, --snapshot-out FILE, --quiet)\n"
+            ),
+            "{command}"
         );
     }
 }
 
 #[test]
 fn explain_out_is_rejected_where_unsupported() {
-    let all = [
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig3",
-        "ablations",
-        "scaling",
-        "sweep",
-    ];
-    for binary in all {
-        assert!(!EXPLAIN_OK.contains(&binary));
-        let out = run(binary, &["--explain-out", "/tmp/never-written.json"]);
-        assert_eq!(out.status.code(), Some(2), "{binary}");
+    for &command in SUBCOMMANDS {
+        if EXPLAIN_OK.contains(&command) {
+            continue;
+        }
+        let out = run(&[command, "--explain-out", "/tmp/never-written.json"]);
+        assert_eq!(out.status.code(), Some(2), "{command}");
         assert_eq!(
             stderr_of(&out),
-            format!("{binary} does not support --explain-out (use lpstudy, fig4, or fig5)\n"),
+            format!(
+                "lpstudy {command} does not support --explain-out \
+                 (use lpstudy, lpstudy explain, lpstudy fig4, lpstudy fig5)\n"
+            ),
+        );
+    }
+}
+
+#[test]
+fn sample_hz_is_rejected_where_unread() {
+    // Only dispatch-heat reads --sample-hz; every other command must
+    // refuse it rather than ignore it.
+    let mut invocations: Vec<Vec<&str>> = vec![vec![]];
+    invocations.extend(
+        SUBCOMMANDS
+            .iter()
+            .filter(|&&c| c != "dispatch-heat")
+            .map(|&c| vec![c]),
+    );
+    for mut args in invocations {
+        let invocation = ["lpstudy"].iter().chain(&args).copied().collect::<Vec<_>>();
+        let invocation = invocation.join(" ");
+        args.extend(["--sample-hz", "5"]);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{invocation}");
+        assert_eq!(
+            stderr_of(&out),
+            format!("{invocation} does not support --sample-hz (use lpstudy dispatch-heat)\n"),
         );
     }
 }
 
 #[test]
 fn sweep_rejects_extras_with_its_own_positional_list() {
-    let out = run("sweep", &["--bogus"]);
+    let out = run(&["sweep", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(
         stderr_of(&out),
         "unknown argument \"--bogus\" (expected test|small|default, --suite NAME, \
          --jobs N, --engine tree|bc, --trace-out FILE, --profile-cache DIR, \
-         --flight-out FILE, --metrics-out FILE, --snapshot-out FILE, \
-         --sample-hz N, --quiet)\n"
+         --flight-out FILE, --snapshot-out FILE, --quiet)\n"
     );
 }
 
 #[test]
 fn lpstudy_prints_usage_on_unknown_flag() {
-    let out = run("lpstudy", &["--bogus"]);
+    let out = run(&["--bogus"]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr_of(&out);
     assert!(err.starts_with("usage: lpstudy"), "got: {err}");
@@ -133,10 +162,6 @@ fn flags_missing_their_operand_exit_2() {
             "--flight-out requires a file argument\n",
         ),
         (
-            &["--metrics-out"][..],
-            "--metrics-out requires a file argument\n",
-        ),
-        (
             &["--snapshot-out"][..],
             "--snapshot-out requires a file argument\n",
         ),
@@ -153,94 +178,69 @@ fn flags_missing_their_operand_exit_2() {
             "--engine \"llvm\" is not an engine (expected tree|bc)\n",
         ),
     ] {
-        let out = run("fig1", args);
+        let out = run(&[&["fig1"][..], args].concat());
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_eq!(stderr_of(&out), message, "{args:?}");
     }
 }
 
 #[test]
-fn quiet_silences_stderr_byte_exactly_across_every_binary() {
-    // --quiet must suppress heartbeats and lp_warn! alike, in every one
-    // of the 12 binaries. The profile cache is pointed at a regular
-    // file, so ProfileStore::open fails and emits an lp_warn! — a quiet
-    // run must swallow even that.
+fn quiet_silences_stderr_byte_exactly_across_every_subcommand() {
+    // --quiet must suppress heartbeats and lp_warn! alike, in every
+    // artifact subcommand, the study mode and the bench harness. The
+    // profile cache is pointed at a regular file, so ProfileStore::open
+    // fails and emits an lp_warn! — a quiet run must swallow even that.
     let dir = std::env::temp_dir();
     let bad_cache = dir.join(format!("lp-quiet-cache-{}", std::process::id()));
     std::fs::write(&bad_cache, b"not a directory").unwrap();
-    let cache = bad_cache.to_str().unwrap().to_string();
+    let cache = bad_cache.to_str().unwrap();
 
-    let standard = [
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "ablations",
-        "scaling",
-    ];
-    let mut invocations: Vec<(&str, Vec<String>)> = standard
+    let mut invocations: Vec<Vec<&str>> = REJECTING
         .iter()
-        .map(|&b| {
-            let args = ["test", "--quiet", "--profile-cache", &cache]
-                .map(String::from)
-                .to_vec();
-            (b, args)
-        })
+        .map(|&c| vec![c, "test", "--quiet", "--profile-cache", cache])
         .collect();
-    invocations.push((
+    invocations.push(vec![
         "sweep",
-        [
-            "test",
-            "--suite",
-            "eembc",
-            "--quiet",
-            "--profile-cache",
-            &cache,
-        ]
-        .map(String::from)
-        .to_vec(),
-    ));
-    invocations.push((
-        "lpstudy",
-        ["--bench", "eembc.matrix01", "--quiet"]
-            .map(String::from)
-            .to_vec(),
-    ));
-    invocations.push((
-        "lpbench",
-        [
-            "test",
-            "--bench",
-            "eembc.matrix01",
-            "--reps",
-            "1",
-            "--quiet",
-        ]
-        .map(String::from)
-        .to_vec(),
-    ));
-    assert_eq!(invocations.len(), 12, "cover every binary");
+        "test",
+        "--suite",
+        "eembc",
+        "--quiet",
+        "--profile-cache",
+        cache,
+    ]);
+    invocations.push(vec!["--bench", "eembc.matrix01", "--quiet"]);
+    invocations.push(vec![
+        "bench",
+        "test",
+        "--bench",
+        "eembc.matrix01",
+        "--reps",
+        "1",
+        "--quiet",
+    ]);
+    assert_eq!(
+        invocations.len(),
+        12,
+        "every artifact subcommand, sweep, study and bench"
+    );
 
-    for (binary, args) in &invocations {
-        let out = Command::new(exe(binary))
+    for args in &invocations {
+        let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
             .args(args)
             .env_remove("LP_LOG")
             .env_remove("LP_PROFILE_CACHE")
             .env_remove("LP_ENGINE")
             .output()
-            .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"));
+            .unwrap_or_else(|e| panic!("cannot spawn lpstudy {args:?}: {e}"));
         assert!(
             out.status.success(),
-            "{binary} failed under --quiet: {}",
+            "lpstudy {args:?} failed under --quiet: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(
             out.stderr,
             b"",
-            "{binary} wrote to stderr under --quiet: {:?}",
+            "lpstudy {args:?} wrote to stderr under --quiet: {:?}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
@@ -248,40 +248,39 @@ fn quiet_silences_stderr_byte_exactly_across_every_binary() {
 }
 
 #[test]
-fn metrics_out_round_trips_every_counter() {
+fn snapshot_out_carries_every_counter() {
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("lp-metrics-{}.prom", std::process::id()));
-    let out = run(
+    let path = dir.join(format!("lp-conformance-snap-{}.json", std::process::id()));
+    let out = run(&[
         "fig1",
-        &["test", "--quiet", "--metrics-out", path.to_str().unwrap()],
-    );
+        "test",
+        "--quiet",
+        "--snapshot-out",
+        path.to_str().unwrap(),
+    ]);
     assert!(out.status.success(), "fig1: {}", stderr_of(&out));
-    let text = std::fs::read_to_string(&path).unwrap();
-    let samples = lp_obs::prometheus::parse(&text)
-        .expect("--metrics-out must be valid Prometheus text exposition");
-    for counter in lp_obs::Counter::all() {
-        let (family, label) = lp_obs::prometheus::counter_series(counter);
-        let found = samples.iter().any(|s| {
-            s.name == family
-                && match label {
-                    None => true,
-                    Some((k, v)) => s.labels.iter().any(|(lk, lv)| lk == k && lv == v),
-                }
-        });
-        assert!(found, "counter {family} {label:?} missing from exposition");
-    }
+    let snap = lp_obs::RunSnapshot::read(&path).expect("--snapshot-out must parse back");
     let _ = std::fs::remove_file(&path);
+    // The writer keeps the subcommand's own name.
+    assert_eq!(snap.process, "fig1");
+    for counter in lp_obs::Counter::all() {
+        let name = counter.name();
+        assert!(
+            snap.counters.iter().any(|(n, _)| *n == name),
+            "counter {name} missing from the snapshot"
+        );
+    }
 }
 
 #[test]
 fn invalid_lp_engine_exits_2_with_the_pinned_message() {
-    let out = Command::new(exe("fig1"))
-        .args(["test"])
+    let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+        .args(["fig1", "test"])
         .env("LP_LOG", "off")
         .env("LP_ENGINE", "llvm")
         .env_remove("LP_PROFILE_CACHE")
         .output()
-        .expect("spawn fig1");
+        .expect("spawn lpstudy fig1");
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(
         stderr_of(&out),
@@ -293,18 +292,26 @@ fn invalid_lp_engine_exits_2_with_the_pinned_message() {
 fn lp_engine_tree_selects_tree_without_a_warning() {
     // LP_ENGINE is a plain engine selector: `tree` picks the reference
     // oracle exactly as `--engine tree` does, and says nothing about it.
-    // lpbench records the engine it ran in its JSON output.
+    // `lpstudy bench` records the engine it ran in its JSON output.
     let dir = std::env::temp_dir();
     let path = dir.join(format!("lp-engine-env-{}.json", std::process::id()));
-    let out = Command::new(exe("lpbench"))
-        .args(["test", "--bench", "eembc.matrix01", "--reps", "1", "--out"])
+    let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+        .args([
+            "bench",
+            "test",
+            "--bench",
+            "eembc.matrix01",
+            "--reps",
+            "1",
+            "--out",
+        ])
         .arg(&path)
         .env("LP_LOG", "info")
         .env("LP_ENGINE", "tree")
         .env_remove("LP_PROFILE_CACHE")
         .output()
-        .expect("spawn lpbench");
-    assert!(out.status.success(), "lpbench: {}", stderr_of(&out));
+        .expect("spawn lpstudy bench");
+    assert!(out.status.success(), "lpstudy bench: {}", stderr_of(&out));
     assert!(
         !stderr_of(&out).contains(" warn]"),
         "LP_ENGINE=tree must not warn, got: {}",
@@ -320,12 +327,12 @@ fn lp_engine_tree_selects_tree_without_a_warning() {
 
 #[test]
 fn invalid_profile_cache_mode_exits_2() {
-    let out = Command::new(exe("table1"))
-        .args(["test", "--profile-cache", "/tmp/unused"])
+    let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+        .args(["table1", "test", "--profile-cache", "/tmp/unused"])
         .env("LP_LOG", "off")
         .env("LP_PROFILE_CACHE", "frobnicate")
         .output()
-        .expect("spawn table1");
+        .expect("spawn lpstudy table1");
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(
         stderr_of(&out),
@@ -338,33 +345,33 @@ fn closed_stdout_ends_quietly() {
     // `sweep default --quiet | head -1` used to panic in `println!`
     // ("failed printing to stdout: Broken pipe", exit 101). The read end
     // is closed before the child starts, so its first write hits EPIPE.
-    let invocations: [(&str, &[&str]); 2] = [
-        ("sweep", &["test", "--suite", "eembc", "--quiet"]),
-        ("lpstudy", &["--bench", "eembc.matrix01", "--quiet"]),
+    let invocations: [&[&str]; 2] = [
+        &["sweep", "test", "--suite", "eembc", "--quiet"],
+        &["--bench", "eembc.matrix01", "--quiet"],
     ];
-    for (binary, args) in invocations {
+    for args in invocations {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
-        let out = Command::new(exe(binary))
+        let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
             .args(args)
             .env_remove("LP_LOG")
             .env_remove("LP_PROFILE_CACHE")
             .env_remove("LP_ENGINE")
             .stdout(writer)
             .output()
-            .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"));
+            .unwrap_or_else(|e| panic!("cannot spawn lpstudy {args:?}: {e}"));
         assert_eq!(
             stderr_of(&out),
             "",
-            "{binary} must end quietly on a closed stdout"
+            "lpstudy {args:?} must end quietly on a closed stdout"
         );
-        assert_ne!(out.status.code(), Some(101), "{binary} panicked");
+        assert_ne!(out.status.code(), Some(101), "lpstudy {args:?} panicked");
         #[cfg(unix)]
         {
             use std::os::unix::process::ExitStatusExt;
             assert!(
                 out.status.success() || out.status.signal() == Some(13),
-                "{binary}: expected success or SIGPIPE, got {:?}",
+                "lpstudy {args:?}: expected success or SIGPIPE, got {:?}",
                 out.status
             );
         }
@@ -372,7 +379,7 @@ fn closed_stdout_ends_quietly() {
 }
 
 #[test]
-fn lpbench_counters_do_not_scale_with_reps() {
+fn bench_counters_do_not_scale_with_reps() {
     // The `counters` object and the trend record's counters hold one
     // end-to-end pass's increments, not process totals: `--reps 1` and
     // `--reps 2` used to report 3 and 5 profiles taken. One job keeps
@@ -381,21 +388,19 @@ fn lpbench_counters_do_not_scale_with_reps() {
     let counters_at = |reps: &str| {
         let ledger = dir.join(format!("lp-reps-{reps}-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&ledger);
-        let out = run(
-            "lpbench",
-            &[
-                "test",
-                "--bench",
-                "eembc.matrix01",
-                "--jobs",
-                "1",
-                "--reps",
-                reps,
-                "--trend",
-                ledger.to_str().unwrap(),
-            ],
-        );
-        assert!(out.status.success(), "lpbench: {}", stderr_of(&out));
+        let out = run(&[
+            "bench",
+            "test",
+            "--bench",
+            "eembc.matrix01",
+            "--jobs",
+            "1",
+            "--reps",
+            reps,
+            "--trend",
+            ledger.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "lpstudy bench: {}", stderr_of(&out));
         let json = String::from_utf8(out.stdout).expect("stdout is UTF-8");
         let start = json.find(r#""counters":{"#).expect("counters object");
         let end = start + json[start..].find('}').expect("flat counters object");

@@ -1,18 +1,22 @@
-//! Golden tests pinning the captured `results/` quickstart artifacts:
-//! regenerating them through the `lpstudy` binary must reproduce the
-//! committed files — byte-for-byte where the content is deterministic
-//! (the explain JSON and collapsed stacks), structurally where wall
-//! clock timings are embedded (the Chrome trace's span-name sequence).
+//! Golden tests pinning the captured `results/` artifacts: regenerating
+//! them through `lpstudy` must reproduce the committed files —
+//! byte-for-byte where the content is deterministic (every paper table
+//! and figure, the lattice CSV, the explain JSON and collapsed stacks),
+//! structurally where wall clock timings are embedded (the Chrome
+//! trace's span-name sequence, the replay document's timings).
 //!
 //! To refresh after an intentional pipeline change:
 //!
 //! ```text
-//! cargo run --release -p lp-bench --bin lpstudy -- explain \
+//! for a in table1 table2 fig1 fig2 fig3 fig4 fig5 ablations scaling; do
+//!   cargo run --release -p lp-bench -- $a default --quiet > results/$a.txt
+//! done
+//! cargo run --release -p lp-bench -- sweep default --quiet > results/sweep.csv
+//! cargo run --release -p lp-bench -- explain \
 //!   --explain-out results/explain-quickstart.json
-//! cargo run --release -p lp-bench --bin lpstudy -- --trace-out results/trace-quickstart.json
-//! cargo run --release -p lp-bench --bin lpstudy -- replay test --jobs 2 \
+//! cargo run --release -p lp-bench -- --trace-out results/trace-quickstart.json
+//! cargo run --release -p lp-bench -- replay test --jobs 2 \
 //!   --replay-out results/replay-quickstart.json
-//! cargo run --release -p lp-bench --bin sweep -- default --quiet > results/sweep.csv
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -104,35 +108,45 @@ fn explain_quickstart_json_is_engine_invariant() {
     let _ = std::fs::remove_file(json.with_extension("collapsed"));
 }
 
-/// The whole evaluated lattice at default scale — 55 programs × 3
-/// models × 32 configurations — must reproduce `results/sweep.csv` byte
-/// for byte. No other test pins evaluated values at this scale.
+/// Every default-scale paper artifact under `results/`, with the
+/// `lpstudy` subcommand whose stdout regenerates it. `sweep.csv` is the
+/// whole evaluated lattice — 55 programs × 3 models × 32 configurations.
+const ARTIFACTS: &[(&str, &str)] = &[
+    ("table1", "results/table1.txt"),
+    ("table2", "results/table2.txt"),
+    ("fig1", "results/fig1.txt"),
+    ("fig2", "results/fig2.txt"),
+    ("fig3", "results/fig3.txt"),
+    ("fig4", "results/fig4.txt"),
+    ("fig5", "results/fig5.txt"),
+    ("ablations", "results/ablations.txt"),
+    ("scaling", "results/scaling.txt"),
+    ("sweep", "results/sweep.csv"),
+];
+
 #[test]
-fn sweep_default_regenerates_results_csv_byte_identically() {
-    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["default", "--quiet"])
-        .env("LP_LOG", "off")
-        .env_remove("LP_PROFILE_CACHE")
-        .env_remove("LP_ENGINE")
-        .output()
-        .expect("sweep runs");
-    assert!(
-        out.status.success(),
-        "sweep default failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let fresh = String::from_utf8(out.stdout).expect("CSV is UTF-8");
-    let golden = std::fs::read_to_string(repo_root().join("results/sweep.csv")).unwrap();
-    assert_eq!(
-        fresh.lines().count(),
-        1 + 55 * 3 * 32,
-        "header + 5,280 rows"
-    );
-    assert!(
-        fresh == golden,
-        "sweep.csv drifted — first differing line: {:?}",
-        fresh.lines().zip(golden.lines()).find(|(a, b)| a != b)
-    );
+fn every_default_scale_artifact_regenerates_byte_identically() {
+    for &(command, artifact) in ARTIFACTS {
+        let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+            .args([command, "default", "--quiet"])
+            .env("LP_LOG", "off")
+            .env_remove("LP_PROFILE_CACHE")
+            .env_remove("LP_ENGINE")
+            .output()
+            .expect("lpstudy runs");
+        assert!(
+            out.status.success(),
+            "lpstudy {command} default failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let fresh = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        let golden = std::fs::read_to_string(repo_root().join(artifact)).unwrap();
+        assert!(
+            fresh == golden,
+            "{artifact} drifted — first differing line: {:?}",
+            fresh.lines().zip(golden.lines()).find(|(a, b)| a != b)
+        );
+    }
 }
 
 /// The ordered `"name"` values of a Chrome trace — the structural

@@ -1,29 +1,29 @@
 //! Differential determinism tests for the parallel sweep engine at the
 //! binary surface: the same sweep run with `--jobs 1`, `--jobs 2`, and
-//! `--jobs 8` must produce **byte-identical** stdout — CSV from the
-//! `sweep` binary and the human report from `lpstudy --suite` alike.
+//! `--jobs 8` must produce **byte-identical** stdout — CSV from
+//! `lpstudy sweep` and the human report from `lpstudy --suite` alike.
 //! Worker scheduling may interleave stderr heartbeats, but the
 //! deterministic index-ordered merge keeps every report stable.
 
 use std::process::{Command, Output};
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lpstudy"))
         .args(args)
         // The explicit --jobs flag must win over any ambient LP_JOBS.
         .env("LP_JOBS", "3")
         .env("LP_LOG", "off")
         .output()
-        .expect("binary runs")
+        .expect("lpstudy runs")
 }
 
-fn stdout_for_jobs(bin: &str, args: &[&str], jobs: &str) -> String {
+fn stdout_for_jobs(args: &[&str], jobs: &str) -> String {
     let mut full: Vec<&str> = args.to_vec();
     full.extend_from_slice(&["--jobs", jobs]);
-    let out = run(bin, &full);
+    let out = run(&full);
     assert!(
         out.status.success(),
-        "{bin} --jobs {jobs} failed: {}",
+        "lpstudy {args:?} --jobs {jobs} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
@@ -31,27 +31,25 @@ fn stdout_for_jobs(bin: &str, args: &[&str], jobs: &str) -> String {
 
 #[test]
 fn sweep_csv_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_sweep");
-    let args = ["test", "--suite", "eembc", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
+    let args = ["sweep", "test", "--suite", "eembc", "--quiet"];
+    let serial = stdout_for_jobs(&args, "1");
     // 10 EEMBC benchmarks × 3 models × 32 configs + header.
     assert_eq!(serial.lines().count(), 1 + 10 * 3 * 32);
     assert!(serial.starts_with("program,model,config,"));
     for jobs in ["2", "8"] {
-        let parallel = stdout_for_jobs(bin, &args, jobs);
+        let parallel = stdout_for_jobs(&args, jobs);
         assert_eq!(serial, parallel, "sweep CSV diverged at --jobs {jobs}");
     }
 }
 
 #[test]
 fn lpstudy_suite_report_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_lpstudy");
     let args = ["--suite", "eembc", "test", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
+    let serial = stdout_for_jobs(&args, "1");
     assert!(serial.contains("suite eembc — 10 benchmarks"));
     assert!(serial.contains("(GEOMEAN)"));
     for jobs in ["2", "8"] {
-        let parallel = stdout_for_jobs(bin, &args, jobs);
+        let parallel = stdout_for_jobs(&args, jobs);
         assert_eq!(
             serial, parallel,
             "lpstudy --suite report diverged at --jobs {jobs}"
@@ -61,27 +59,25 @@ fn lpstudy_suite_report_is_byte_identical_across_job_counts() {
 
 #[test]
 fn fig2_output_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_fig2");
-    let args = ["test", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
+    let args = ["fig2", "test", "--quiet"];
+    let serial = stdout_for_jobs(&args, "1");
     assert!(serial.starts_with("Figure 2"));
     for jobs in ["2", "8"] {
-        let parallel = stdout_for_jobs(bin, &args, jobs);
+        let parallel = stdout_for_jobs(&args, jobs);
         assert_eq!(serial, parallel, "fig2 diverged at --jobs {jobs}");
     }
 }
 
 #[test]
 fn fig4_and_explain_json_are_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_fig4");
     let dir = std::env::temp_dir().join(format!("lp-fig4-jobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let mut outputs: Vec<(String, Vec<u8>)> = Vec::new();
     for jobs in ["1", "2", "8"] {
         let json = dir.join(format!("explain-{jobs}.json"));
         let json_arg = json.to_str().expect("utf-8 path").to_string();
-        let args = ["test", "--quiet", "--explain-out", &json_arg];
-        let stdout = stdout_for_jobs(bin, &args, jobs);
+        let args = ["fig4", "test", "--quiet", "--explain-out", &json_arg];
+        let stdout = stdout_for_jobs(&args, jobs);
         let bytes = std::fs::read(&json).expect("explain JSON written");
         outputs.push((stdout, bytes));
     }
@@ -101,11 +97,10 @@ fn fig4_and_explain_json_are_byte_identical_across_job_counts() {
 
 #[test]
 fn jobs_flag_rejects_garbage() {
-    let bin = env!("CARGO_BIN_EXE_sweep");
     for bad in [&["--jobs"][..], &["--jobs", "many"]] {
-        let mut args = vec!["test", "--suite", "eembc", "--quiet"];
+        let mut args = vec!["sweep", "test", "--suite", "eembc", "--quiet"];
         args.extend_from_slice(bad);
-        let out = run(bin, &args);
+        let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("--jobs requires a non-negative integer"),
@@ -118,16 +113,15 @@ fn jobs_flag_rejects_garbage() {
 fn jobs_zero_clamps_to_serial_with_warning() {
     // An explicit `--jobs 0` is degenerate but not an error: it runs the
     // serial engine (identical output to `--jobs 1`) and warns.
-    let bin = env!("CARGO_BIN_EXE_sweep");
-    let args = ["test", "--suite", "eembc", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
+    let args = ["sweep", "test", "--suite", "eembc", "--quiet"];
+    let serial = stdout_for_jobs(&args, "1");
     // No --quiet here: the clamp warning must be visible on stderr.
-    let out = Command::new(bin)
-        .args(["test", "--suite", "eembc", "--jobs", "0"])
+    let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+        .args(["sweep", "test", "--suite", "eembc", "--jobs", "0"])
         .env("LP_JOBS", "3")
         .env("LP_LOG", "info")
         .output()
-        .expect("binary runs");
+        .expect("lpstudy runs");
     assert!(out.status.success(), "--jobs 0 must not be an error");
     assert_eq!(
         String::from_utf8(out.stdout).expect("utf-8 stdout"),
@@ -142,16 +136,15 @@ fn jobs_zero_clamps_to_serial_with_warning() {
 
 #[test]
 fn lp_jobs_zero_env_clamps_to_serial_with_warning() {
-    let bin = env!("CARGO_BIN_EXE_sweep");
-    let args = ["test", "--suite", "eembc", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
+    let args = ["sweep", "test", "--suite", "eembc", "--quiet"];
+    let serial = stdout_for_jobs(&args, "1");
     // No --quiet here: the clamp warning must be visible on stderr.
-    let out = Command::new(bin)
-        .args(["test", "--suite", "eembc"])
+    let out = Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+        .args(["sweep", "test", "--suite", "eembc"])
         .env("LP_JOBS", "0")
         .env("LP_LOG", "info")
         .output()
-        .expect("binary runs");
+        .expect("lpstudy runs");
     assert!(out.status.success(), "LP_JOBS=0 must not be an error");
     assert_eq!(
         String::from_utf8(out.stdout).expect("utf-8 stdout"),
@@ -166,8 +159,7 @@ fn lp_jobs_zero_env_clamps_to_serial_with_warning() {
 
 #[test]
 fn sweep_rejects_unknown_suite() {
-    let bin = env!("CARGO_BIN_EXE_sweep");
-    let out = run(bin, &["test", "--suite", "nope", "--quiet"]);
+    let out = run(&["sweep", "test", "--suite", "nope", "--quiet"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown suite"));
 }

@@ -1,4 +1,4 @@
-//! End-to-end contract of the run ledger and the `lpbench trend`
+//! End-to-end contract of the run ledger and the `lpstudy trend`
 //! regression sentinel: three consecutive stable appends keep the gate
 //! green, an injected ≥10% slowdown trips it with the distinct exit
 //! code 2, and a real measuring run appends one parseable record.
@@ -7,13 +7,13 @@ use lp_obs::trend::{append_ledger, read_ledger, TrendRecord};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn lpbench(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_lpbench"))
+fn lpstudy(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lpstudy"))
         .args(args)
         .env("LP_LOG", "off")
         .env_remove("LP_PROFILE_CACHE")
         .output()
-        .expect("spawn lpbench")
+        .expect("spawn lpstudy")
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -48,7 +48,7 @@ fn three_stable_runs_pass_and_an_injected_slowdown_exits_2() {
     // too little history to fail).
     for (seq, mips) in [(0, 46.0), (1, 46.2), (2, 45.9)] {
         append_ledger(&ledger, &record(mips, seq)).unwrap();
-        let out = lpbench(&["trend", "--ledger", path, "--check"]);
+        let out = lpstudy(&["trend", "--ledger", path, "--check"]);
         assert_eq!(
             out.status.code(),
             Some(0),
@@ -60,14 +60,14 @@ fn three_stable_runs_pass_and_an_injected_slowdown_exits_2() {
 
     // A fourth stable point passes with full history...
     append_ledger(&ledger, &record(46.1, 3)).unwrap();
-    let out = lpbench(&["trend", "--ledger", path, "--check"]);
+    let out = lpstudy(&["trend", "--ledger", path, "--check"]);
     assert_eq!(out.status.code(), Some(0));
 
     // ...but a ≥10% slowdown falls outside the noise band: exit 2, the
     // code CI distinguishes from crashes (1) and usage errors (2 comes
     // only from the verdict path here — stderr stays empty).
     append_ledger(&ledger, &record(46.0 * 0.88, 4)).unwrap();
-    let out = lpbench(&["trend", "--ledger", path, "--check"]);
+    let out = lpstudy(&["trend", "--ledger", path, "--check"]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -78,7 +78,7 @@ fn three_stable_runs_pass_and_an_injected_slowdown_exits_2() {
     assert!(stdout.contains("REGRESSION"), "verdict missing: {stdout}");
 
     // Without --check the same ledger only summarises (exit 0).
-    let out = lpbench(&["trend", "--ledger", path]);
+    let out = lpstudy(&["trend", "--ledger", path]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("5 record(s)"));
 
@@ -90,9 +90,9 @@ fn checking_an_empty_ledger_fails_but_summarising_does_not() {
     let ledger = tmp("trend-empty.jsonl");
     let _ = std::fs::remove_file(&ledger);
     let path = ledger.to_str().unwrap();
-    let out = lpbench(&["trend", "--ledger", path]);
+    let out = lpstudy(&["trend", "--ledger", path]);
     assert_eq!(out.status.code(), Some(0));
-    let out = lpbench(&["trend", "--ledger", path, "--check"]);
+    let out = lpstudy(&["trend", "--ledger", path, "--check"]);
     assert_eq!(out.status.code(), Some(1));
 }
 
@@ -101,7 +101,8 @@ fn a_measuring_run_appends_one_self_describing_record() {
     let ledger = tmp("trend-append.jsonl");
     let _ = std::fs::remove_file(&ledger);
     let path = ledger.to_str().unwrap();
-    let out = lpbench(&[
+    let out = lpstudy(&[
+        "bench",
         "test",
         "--bench",
         "eembc.matrix01",
@@ -115,7 +116,7 @@ fn a_measuring_run_appends_one_self_describing_record() {
     ]);
     assert!(
         out.status.success(),
-        "lpbench failed: {}",
+        "lpstudy bench failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let records = read_ledger(&ledger).expect("appended ledger parses");
@@ -134,7 +135,8 @@ fn a_measuring_run_appends_one_self_describing_record() {
     assert!(!rec.counters.is_empty(), "key counters must ride along");
 
     // A second run lands in the same series (same bench/scale/machine).
-    let out = lpbench(&[
+    let out = lpstudy(&[
+        "bench",
         "test",
         "--bench",
         "eembc.matrix01",

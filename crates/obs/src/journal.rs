@@ -6,8 +6,8 @@
 //! journal records *coarse lifecycle events* — a profiling run
 //! completed, a sweep task finished, a panic fired — so the always-on
 //! cost is one short mutex-protected write per event, far below the 3%
-//! overhead budget (DESIGN.md §11 has the measurement; `lpbench`
-//! enforces the budget in CI).
+//! overhead budget (DESIGN.md §11 has the measurement; `lpstudy
+//! bench` enforces the budget in CI).
 //!
 //! The journal is dumped to JSON three ways:
 //!
@@ -15,7 +15,7 @@
 //! - **on request**, via a `SIGUSR1`-style signal ([`arm`] installs the
 //!   handler; the dump is written from the next [`record`] call, never
 //!   from the handler itself);
-//! - **at exit**, via the binaries' shared `--flight-out PATH` flag.
+//! - **at exit**, via `lpstudy`'s shared `--flight-out PATH` flag.
 //!
 //! When the ring is full, new records overwrite the oldest — a flight
 //! recorder keeps the *last* `JOURNAL_CAP` events, which is what a
@@ -167,7 +167,7 @@ impl Journal {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off (used by `lpbench` to measure the
+    /// Turns recording on or off (used by `lpstudy bench` to measure the
     /// always-on overhead against a journal-free run).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);

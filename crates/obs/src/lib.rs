@@ -13,21 +13,20 @@
 //!   stream privately and merges everything into the registry in one
 //!   flush, so concurrent workers never race on a shared summary;
 //! - **Exporters** — a human summary for stderr ([`summary`]), plain
-//!   JSON ([`to_json`]), Chrome `trace_event` JSON ([`chrome_trace`])
-//!   loadable in `chrome://tracing` / Perfetto, and Prometheus text
-//!   exposition ([`prometheus`]) with a coherent registry freeze;
-//! - **Cross-run layer** — a serializable registry freeze
+//!   JSON ([`to_json`]), and Chrome `trace_event` JSON ([`chrome_trace`])
+//!   loadable in `chrome://tracing` / Perfetto;
+//! - **Cross-run layer** — a coherent, serializable registry freeze
 //!   ([`snapshot`], `--snapshot-out`), a ranked two-snapshot comparison
 //!   ([`diff`], `lpstudy diff`), and an append-only run ledger with a
-//!   MAD-band regression check ([`trend`], `lpbench trend --check`);
+//!   MAD-band regression check ([`trend`], `lpstudy trend --check`);
 //! - **Flight recorder** — an always-on bounded ring journal of coarse
 //!   lifecycle events ([`journal`]), dumped to JSON on panic, on
-//!   `SIGUSR1`, or via the binaries' `--flight-out` flag;
+//!   `SIGUSR1`, or via `lpstudy`'s `--flight-out` flag;
 //! - **Sampling self-profiler** — the interpreter publishes its
 //!   dispatch position through a relaxed atomic and a sampler thread
 //!   attributes wall time per opcode pair ([`sampler`]);
 //! - **Logging** — `lp_info!` / `lp_debug!` macros filtered by the
-//!   `LP_LOG` environment variable and the binaries' `--quiet` flag.
+//!   `LP_LOG` environment variable and `lpstudy`'s `--quiet` flag.
 //!
 //! The crate has no dependencies and never allocates on the counting
 //! hot path; see DESIGN.md §7 for the measured overhead budget.
@@ -49,7 +48,6 @@ pub mod journal;
 pub mod local;
 pub mod log;
 pub mod metrics;
-pub mod prometheus;
 pub mod registry;
 pub mod sampler;
 pub mod snapshot;

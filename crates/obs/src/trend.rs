@@ -1,10 +1,10 @@
 //! Append-only run ledger and noise-aware regression check.
 //!
-//! Every measuring `lpbench` invocation appends one self-describing
+//! Every measuring `lpstudy bench` invocation appends one self-describing
 //! JSONL record (schema `lp-trend-v1`) to `results/BENCH_trend.jsonl`:
 //! bench id, scale, rep count, throughput point estimates, the machine
-//! digest, key counters, and an optional free-form label. `lpbench
-//! trend` summarises a ledger; `lpbench trend --check` compares the
+//! digest, key counters, and an optional free-form label. `lpstudy
+//! trend` summarises a ledger; `lpstudy trend --check` compares the
 //! newest record against a rolling window of prior records from the
 //! *same series* (bench + scale + machine digest) and fails — exit 2 —
 //! only when the new profile throughput falls below a robust noise
@@ -120,7 +120,7 @@ pub struct TrendRecord {
     /// Journal-enabled vs journal-disabled profiling overhead.
     pub journal_overhead: f64,
     /// Non-zero registry counter increments of one end-to-end pass
-    /// (`lpbench`'s sweep), not process totals.
+    /// (`lpstudy bench`'s sweep), not process totals.
     pub counters: Vec<(String, u64)>,
 }
 
