@@ -227,7 +227,7 @@ fn machine_digest() -> String {
 /// The `lpstudy trend` subcommand: summarise the run ledger and, with
 /// `--check`, judge the newest record against the MAD noise band of its
 /// own series — exit 2 on a regression (the distinct code CI gates on).
-pub fn trend(args: &[String]) -> ! {
+pub fn trend(cli: &Cli, args: &[String]) -> ! {
     let mut ledger = PathBuf::from("results/BENCH_trend.jsonl");
     let mut check = false;
     let mut window = lp_obs::trend::DEFAULT_WINDOW;
@@ -259,9 +259,9 @@ pub fn trend(args: &[String]) -> ! {
         println!("trend ledger {} is empty", ledger.display());
         if check {
             eprintln!("nothing to check");
-            std::process::exit(1);
+            finish_and_exit(cli, 1);
         }
-        std::process::exit(0);
+        finish_and_exit(cli, 0);
     }
     // One line per series: run count, newest point, noise band when the
     // series is deep enough to have one.
@@ -307,8 +307,13 @@ pub fn trend(args: &[String]) -> ! {
         } else {
             format!(" [{}]", newest.label)
         };
+        let engine = if newest.engine.is_empty() {
+            String::new()
+        } else {
+            format!(" {}", newest.engine)
+        };
         println!(
-            "  {} {} ({}): {} run(s), latest {:.2} Mi/s{label}, {band}",
+            "  {} {}{engine} ({}): {} run(s), latest {:.2} Mi/s{label}, {band}",
             newest.bench,
             newest.scale,
             &newest.machine[..8.min(newest.machine.len())],
@@ -321,10 +326,17 @@ pub fn trend(args: &[String]) -> ! {
             lp_obs::trend::check_latest(&records, window, min_history).expect("non-empty ledger");
         println!("{}", verdict.render());
         if !verdict.passed() {
-            std::process::exit(2);
+            finish_and_exit(cli, 2);
         }
     }
-    std::process::exit(0);
+    finish_and_exit(cli, 0);
+}
+
+/// Writes the telemetry files the command line asked for (see
+/// [`Cli::finish`]), then exits with `code`.
+fn finish_and_exit(cli: &Cli, code: i32) -> ! {
+    cli.finish("lpbench");
+    std::process::exit(code);
 }
 
 /// The `lpstudy bench` subcommand (see the module docs).
@@ -582,6 +594,7 @@ pub fn run(cli: &Cli, args: &[String]) {
         let record = lp_obs::TrendRecord {
             bench: picked.iter().map(|b| b.name).collect::<Vec<_>>().join("+"),
             scale: scale_label(cli.scale).to_string(),
+            engine: cli.engine.name().to_string(),
             label: label.clone(),
             reps: u64::from(reps),
             unix_ms,

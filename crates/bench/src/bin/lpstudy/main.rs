@@ -504,7 +504,7 @@ fn read_snapshot(path: &str) -> lp_obs::RunSnapshot {
 /// the ranked divergences (human by default, `--json` for the
 /// `lp-diff-v1` document). The human report always ends with
 /// `N significant divergence(s)` so CI can `grep '^0 significant'`.
-fn run_diff(args: &[String]) {
+fn run_diff(cli: &Cli, args: &[String]) {
     let mut paths = Vec::new();
     let mut opts = lp_obs::DiffOptions::default();
     let mut json = false;
@@ -543,24 +543,27 @@ fn run_diff(args: &[String]) {
     } else {
         print!("{}", diff.render());
     }
+    cli.finish("lpstudy");
 }
 
 /// The `audit` subcommand: assert the cross-counter conservation laws
 /// over one snapshot; any violated law is a non-zero exit.
-fn run_audit(args: &[String]) {
+fn run_audit(cli: &Cli, args: &[String]) {
     let path = args.first().map(String::as_str).unwrap_or_else(|| usage());
     expect_consumed(args, 1);
     let snap = read_snapshot(path);
     let checks = lp_runtime::audit_snapshot(&snap);
     print!("{}", lp_runtime::render_audit(&checks));
+    cli.finish("lpstudy");
     if lp_runtime::audit::failures(&checks) > 0 {
         std::process::exit(1);
     }
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let mut cli = Cli::parse();
     let (spec, args) = cli.enforce();
+    let args = args.as_slice();
     match spec.command {
         "table1" => figures::table1(&cli),
         "table2" => figures::table2(&cli),
@@ -573,9 +576,11 @@ fn main() {
         "scaling" => figures::scaling(&cli),
         "sweep" => figures::sweep(&cli, spec, args),
         "bench" => bench::run(&cli, args),
-        "trend" => bench::trend(args),
-        "diff" => run_diff(args),
-        "audit" => run_audit(args),
+        "trend" => bench::trend(&cli, args),
+        "diff" => run_diff(&cli, args),
+        "audit" => run_audit(&cli, args),
+        "--dump" => run_dump(&cli, args),
+        "--analyze" => run_analyze(&cli, args),
         "dispatch-heat" => run_dispatch_heat(&cli, args),
         "replay" => run_replay(&cli, args),
         "explain" => {
@@ -593,35 +598,40 @@ fn main() {
     }
 }
 
-/// The study modes that take no subcommand word: `--dump`, `--analyze`,
-/// `--suite`, and the single-module study of `--bench NAME`, a textual-IR
-/// file, or the built-in demo kernel.
+/// `lpstudy --dump NAME`: print a registered benchmark as textual IR.
+fn run_dump(cli: &Cli, args: &[String]) {
+    let name = args.first().map(String::as_str).unwrap_or_else(|| usage());
+    expect_consumed(args, 1);
+    let bench = lp_suite::find(name).unwrap_or_else(|| {
+        eprintln!("unknown benchmark {name:?}; try one of:");
+        for b in lp_suite::registry() {
+            eprintln!("  {}", b.name);
+        }
+        std::process::exit(2);
+    });
+    print!(
+        "{}",
+        lp_ir::printer::print_module(&bench.build(Scale::Test))
+    );
+    cli.finish("lpstudy");
+}
+
+/// `lpstudy --analyze WHAT`: print the compile-time analysis of a
+/// benchmark or textual-IR file.
+fn run_analyze(cli: &Cli, args: &[String]) {
+    let what = args.first().map(String::as_str).unwrap_or_else(|| usage());
+    expect_consumed(args, 1);
+    let module = load(what);
+    let analysis = lp_analysis::analyze_module(&module);
+    print!("{}", lp_analysis::dump_module(&module, &analysis));
+    cli.finish("lpstudy");
+}
+
+/// The study modes that take no subcommand word: `--suite`, and the
+/// single-module study of `--bench NAME`, a textual-IR file, or the
+/// built-in demo kernel.
 fn study(cli: &Cli, args: &[String]) {
     let module = match args.first().map(String::as_str) {
-        Some("--dump") => {
-            let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            expect_consumed(args, 2);
-            let bench = lp_suite::find(name).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name:?}; try one of:");
-                for b in lp_suite::registry() {
-                    eprintln!("  {}", b.name);
-                }
-                std::process::exit(2);
-            });
-            print!(
-                "{}",
-                lp_ir::printer::print_module(&bench.build(Scale::Test))
-            );
-            return;
-        }
-        Some("--analyze") => {
-            let what = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            expect_consumed(args, 2);
-            let module = load(what);
-            let analysis = lp_analysis::analyze_module(&module);
-            print!("{}", lp_analysis::dump_module(&module, &analysis));
-            return;
-        }
         Some("--suite") => {
             let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             expect_consumed(args, 2);

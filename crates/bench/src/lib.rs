@@ -18,8 +18,9 @@
 //! | `lpstudy sweep` | the full lattice as CSV (`results/sweep.csv`) |
 //! | `lpstudy bench` / `lpstudy trend` | profiler throughput report and its run ledger |
 //!
-//! Every subcommand accepts an optional scale argument (`test`, `small`,
-//! `default`), a `--jobs N` worker count for the parallel sweep engine
+//! Every subcommand that builds benchmarks at a size accepts an optional
+//! scale argument (`test`, `small`, `default`), and every subcommand a
+//! `--jobs N` worker count for the parallel sweep engine
 //! (default: `LP_JOBS` or the machine's available parallelism; output is
 //! byte-identical for any value), a `--profile-cache DIR` persistent
 //! profile store (see `lp_runtime::store`; `LP_PROFILE_CACHE=off|ro|rw`
@@ -56,8 +57,12 @@ pub enum ExtraArgs {
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {
     /// Subcommand name as typed after `lpstudy`; the row named `lpstudy`
-    /// covers the study modes that take no subcommand word.
+    /// covers the study modes that take no subcommand word, and the
+    /// `--dump` and `--analyze` rows the two study modes that only print.
     pub command: &'static str,
+    /// Whether the subcommand reads the scale word (`test`, `small`,
+    /// `default`); elsewhere such a word is an ordinary argument.
+    pub scale: bool,
     /// Whether the subcommand has a limiter attribution to export
     /// (`--explain-out`).
     pub explain_out: bool,
@@ -69,12 +74,14 @@ pub struct FlagSpec {
 
 const fn row(
     command: &'static str,
+    scale: bool,
     explain_out: bool,
     sample_hz: bool,
     extra: ExtraArgs,
 ) -> FlagSpec {
     FlagSpec {
         command,
+        scale,
         explain_out,
         sample_hz,
         extra,
@@ -84,25 +91,27 @@ const fn row(
 /// The command-line contract of every `lpstudy` subcommand, in one place.
 #[rustfmt::skip]
 pub const FLAG_SPECS: &[FlagSpec] = &[
-    //   command          explain_out sample_hz extra
-    row("lpstudy",        true,  false, ExtraArgs::Passthrough),
-    row("explain",        true,  false, ExtraArgs::Passthrough),
-    row("dispatch-heat",  false, true,  ExtraArgs::Passthrough),
-    row("replay",         false, false, ExtraArgs::Passthrough),
-    row("diff",           false, false, ExtraArgs::Passthrough),
-    row("audit",          false, false, ExtraArgs::Passthrough),
-    row("table1",         false, false, ExtraArgs::Rejected),
-    row("table2",         false, false, ExtraArgs::Rejected),
-    row("fig1",           false, false, ExtraArgs::Rejected),
-    row("fig2",           false, false, ExtraArgs::Rejected),
-    row("fig3",           false, false, ExtraArgs::Rejected),
-    row("fig4",           true,  false, ExtraArgs::Rejected),
-    row("fig5",           true,  false, ExtraArgs::Rejected),
-    row("ablations",      false, false, ExtraArgs::Rejected),
-    row("scaling",        false, false, ExtraArgs::Rejected),
-    row("sweep",          false, false, ExtraArgs::Passthrough),
-    row("bench",          false, false, ExtraArgs::Passthrough),
-    row("trend",          false, false, ExtraArgs::Passthrough),
+    //   command          scale  explain_out sample_hz extra
+    row("lpstudy",        true,  true,  false, ExtraArgs::Passthrough),
+    row("--dump",         false, false, false, ExtraArgs::Passthrough),
+    row("--analyze",      false, false, false, ExtraArgs::Passthrough),
+    row("explain",        false, true,  false, ExtraArgs::Passthrough),
+    row("dispatch-heat",  true,  false, true,  ExtraArgs::Passthrough),
+    row("replay",         true,  false, false, ExtraArgs::Passthrough),
+    row("diff",           false, false, false, ExtraArgs::Passthrough),
+    row("audit",          false, false, false, ExtraArgs::Passthrough),
+    row("table1",         true,  false, false, ExtraArgs::Rejected),
+    row("table2",         true,  false, false, ExtraArgs::Rejected),
+    row("fig1",           true,  false, false, ExtraArgs::Rejected),
+    row("fig2",           true,  false, false, ExtraArgs::Rejected),
+    row("fig3",           true,  false, false, ExtraArgs::Rejected),
+    row("fig4",           true,  true,  false, ExtraArgs::Rejected),
+    row("fig5",           true,  true,  false, ExtraArgs::Rejected),
+    row("ablations",      true,  false, false, ExtraArgs::Rejected),
+    row("scaling",        true,  false, false, ExtraArgs::Rejected),
+    row("sweep",          true,  false, false, ExtraArgs::Passthrough),
+    row("bench",          true,  false, false, ExtraArgs::Passthrough),
+    row("trend",          false, false, false, ExtraArgs::Passthrough),
 ];
 
 impl FlagSpec {
@@ -159,14 +168,16 @@ impl FlagSpec {
     }
 }
 
-/// Shared command line of `lpstudy`: an optional scale positional
-/// (`test`, `small`, `default`) plus the observability flags. Anything
-/// unrecognized lands in [`Cli::rest`], the subcommand word first; each
+/// Shared command line of `lpstudy`: the observability and engine
+/// flags. Anything unrecognized lands in [`Cli::rest`], the subcommand
+/// word and any scale word (`test`, `small`, `default`) included; each
 /// subcommand's [`FlagSpec`] (enforced via [`Cli::enforce`]) says whether
-/// the rest is a usage error or its own arguments.
+/// it reads the scale word and whether the rest is a usage error or its
+/// own arguments.
 #[derive(Debug, Clone)]
 pub struct Cli {
-    /// Benchmark scale (default [`Scale::Default`]).
+    /// Benchmark scale (default [`Scale::Default`]); set by
+    /// [`Cli::enforce`] for subcommands that read it.
     pub scale: Scale,
     /// Where to write the Chrome `trace_event` JSON, if requested.
     pub trace_out: Option<PathBuf>,
@@ -331,9 +342,6 @@ impl Cli {
                         std::process::exit(2);
                     }
                 },
-                "test" => cli.scale = Scale::Test,
-                "small" => cli.scale = Scale::Small,
-                "default" => cli.scale = Scale::Default,
                 _ => cli.rest.push(arg),
             }
         }
@@ -433,23 +441,45 @@ impl Cli {
     }
 
     /// Resolves the subcommand this command line names — its first
-    /// leftover argument when that is a [`FLAG_SPECS`] row, else the
-    /// `lpstudy` study modes — and checks the command line against that
-    /// row: leftover arguments first (when [`ExtraArgs::Rejected`]), then
-    /// `--explain-out`, then `--sample-hz`. Returns the row and the
-    /// subcommand's own arguments (the leftovers after its name).
+    /// leftover argument that is not a scale word, when that is a
+    /// [`FLAG_SPECS`] row, else the `lpstudy` study modes — and checks
+    /// the command line against that row. A subcommand that reads the
+    /// scale takes every scale word into [`Cli::scale`] (the last one
+    /// wins); for the others a scale word is one of its own arguments.
+    /// Then leftover arguments are checked (when [`ExtraArgs::Rejected`]),
+    /// then `--explain-out`, then `--sample-hz`. Returns the row and the
+    /// subcommand's own arguments (the leftovers without its name).
     ///
     /// # Panics
     /// Exits the process with a usage error (2) when the command line
     /// violates the row.
-    pub fn enforce(&self) -> (&'static FlagSpec, &[String]) {
-        let (spec, args) = match self.rest.first().and_then(|word| FlagSpec::of(word)) {
-            Some(spec) if spec.command != "lpstudy" => (spec, &self.rest[1..]),
-            _ => (
+    pub fn enforce(&mut self) -> (&'static FlagSpec, Vec<String>) {
+        let named = self
+            .rest
+            .iter()
+            .position(|word| scale_word(word).is_none())
+            .and_then(|i| Some((i, FlagSpec::of(&self.rest[i])?)))
+            .filter(|(_, spec)| spec.command != "lpstudy");
+        let (spec, mut args) = match named {
+            Some((i, spec)) => {
+                let mut args = self.rest.clone();
+                args.remove(i);
+                (spec, args)
+            }
+            None => (
                 FlagSpec::of("lpstudy").expect("FLAG_SPECS has an lpstudy row"),
-                &self.rest[..],
+                self.rest.clone(),
             ),
         };
+        if spec.scale {
+            args.retain(|word| match scale_word(word) {
+                Some(scale) => {
+                    self.scale = scale;
+                    false
+                }
+                None => true,
+            });
+        }
         if let (ExtraArgs::Rejected, Some(extra)) = (spec.extra, args.first()) {
             spec.reject_argument(extra, "");
         }
@@ -495,6 +525,16 @@ impl Cli {
                 }
             }
         }
+    }
+}
+
+/// The scale a scale word names, if `word` is one.
+fn scale_word(word: &str) -> Option<Scale> {
+    match word {
+        "test" => Some(Scale::Test),
+        "small" => Some(Scale::Small),
+        "default" => Some(Scale::Default),
+        _ => None,
     }
 }
 
@@ -703,7 +743,7 @@ mod tests {
 
     #[test]
     fn cli_parses_flags_scale_and_rest() {
-        let cli = Cli::parse_from(
+        let mut cli = Cli::parse_from(
             [
                 "--quiet",
                 "small",
@@ -727,7 +767,9 @@ mod tests {
             .map(String::from),
         );
         assert!(cli.quiet);
-        assert_eq!(cli.scale, Scale::Small);
+        // The scale word waits in `rest` until the subcommand is known.
+        assert_eq!(cli.scale, Scale::Default);
+        assert_eq!(cli.rest, ["small", "--bench", "x.lp"]);
         assert_eq!(cli.engine, lp_interp::Engine::Tree);
         assert_eq!(cli.machine_config().engine, lp_interp::Engine::Tree);
         assert_eq!(cli.jobs, Some(3));
@@ -749,7 +791,11 @@ mod tests {
             Some(std::path::Path::new("/tmp/s.json"))
         );
         assert_eq!(cli.sample_hz, Some(997));
-        assert_eq!(cli.rest, vec!["--bench".to_string(), "x.lp".to_string()]);
+        cli.sample_hz = None;
+        let (spec, args) = cli.enforce();
+        assert_eq!(spec.command, "lpstudy");
+        assert_eq!(args, ["--bench", "x.lp"]);
+        assert_eq!(cli.scale, Scale::Small);
 
         // With no flag (and no LP_ENGINE in the test environment) the
         // default engine is now the bytecode fast path.
@@ -777,7 +823,7 @@ mod tests {
                 spec.command
             );
         }
-        assert_eq!(FLAG_SPECS.len(), 18);
+        assert_eq!(FLAG_SPECS.len(), 20);
         let with = |pick: fn(&FlagSpec) -> bool| -> Vec<&str> {
             FLAG_SPECS
                 .iter()
@@ -790,6 +836,10 @@ mod tests {
             ["lpstudy", "explain", "fig4", "fig5"]
         );
         assert_eq!(with(|s| s.sample_hz), ["dispatch-heat"]);
+        assert_eq!(
+            with(|s| !s.scale),
+            ["--dump", "--analyze", "explain", "diff", "audit", "trend"]
+        );
         assert_eq!(FlagSpec::of("fig2").unwrap().invocation(), "lpstudy fig2");
         assert_eq!(FlagSpec::of("lpstudy").unwrap().invocation(), "lpstudy");
         assert!(FlagSpec::of("nonesuch").is_none());
@@ -798,25 +848,40 @@ mod tests {
     #[test]
     fn enforce_resolves_the_subcommand_and_its_arguments() {
         let enforce = |args: &[&str]| {
-            let cli = Cli::parse_from(args.iter().map(|a| a.to_string()));
+            let mut cli = Cli::parse_from(args.iter().map(|a| a.to_string()));
             let (spec, rest) = cli.enforce();
-            (spec.command, rest.to_vec())
+            (spec.command, rest, cli.scale)
         };
-        assert_eq!(enforce(&["fig2", "test"]), ("fig2", vec![]));
+        let owned = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        assert_eq!(enforce(&["fig2", "test"]), ("fig2", vec![], Scale::Test));
+        assert_eq!(enforce(&["small", "fig2"]), ("fig2", vec![], Scale::Small));
+        // A subcommand that reads no scale keeps the word as an operand:
+        // `audit test` audits a snapshot file named `test`.
+        assert_eq!(
+            enforce(&["audit", "test"]),
+            ("audit", owned(&["test"]), Scale::Default)
+        );
+        assert_eq!(
+            enforce(&["--dump", "x", "test"]),
+            ("--dump", owned(&["x", "test"]), Scale::Default)
+        );
         assert_eq!(
             enforce(&["sweep", "--suite", "eembc"]),
-            ("sweep", vec!["--suite".to_string(), "eembc".to_string()])
+            ("sweep", owned(&["--suite", "eembc"]), Scale::Default)
         );
         // Study modes keep every leftover: `--bench` is not `bench`.
         assert_eq!(
-            enforce(&["--bench", "x"]),
-            ("lpstudy", vec!["--bench".to_string(), "x".to_string()])
+            enforce(&["--bench", "x", "small"]),
+            ("lpstudy", owned(&["--bench", "x"]), Scale::Small)
         );
-        assert_eq!(enforce(&["k.lp"]), ("lpstudy", vec!["k.lp".to_string()]));
-        assert_eq!(enforce(&[]), ("lpstudy", vec![]));
+        assert_eq!(
+            enforce(&["k.lp"]),
+            ("lpstudy", owned(&["k.lp"]), Scale::Default)
+        );
+        assert_eq!(enforce(&[]), ("lpstudy", vec![], Scale::Default));
         assert_eq!(
             enforce(&["dispatch-heat", "--sample-hz", "5"]),
-            ("dispatch-heat", vec![])
+            ("dispatch-heat", vec![], Scale::Default)
         );
         lp_obs::log::set_level(lp_obs::Level::Off);
     }

@@ -22,8 +22,11 @@ const REJECTING: &[&str] = &[
 /// `FLAG_SPECS`; `lpstudy` alone is the study modes).
 const EXPLAIN_OK: &[&str] = &["lpstudy", "explain", "fig4", "fig5"];
 
-/// Every subcommand word, `lpstudy`'s own study modes excluded.
+/// Every `FLAG_SPECS` row but `lpstudy`: the subcommand words and the
+/// two study modes that only print (`--dump`, `--analyze`).
 const SUBCOMMANDS: &[&str] = &[
+    "--dump",
+    "--analyze",
     "explain",
     "dispatch-heat",
     "replay",
@@ -414,4 +417,93 @@ fn bench_counters_do_not_scale_with_reps() {
     assert!(json1.contains(r#""profiles_taken":1,"#), "{json1}");
     assert_eq!(json1, json2, "JSON counters depend on --reps");
     assert_eq!(trend1, trend2, "trend counters depend on --reps");
+}
+
+/// A scratch directory unique to this test process and `name`.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lp-conformance-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn output_flags_are_written_by_every_mode() {
+    // `--dump`, `--analyze`, `diff`, `audit` and `trend` used to return
+    // without writing the requested telemetry files.
+    let dir = scratch_dir("outputs");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let snap = path("snap.json");
+    let out = run(&["--dump", "eembc.matrix01", "--snapshot-out", &snap]);
+    assert!(out.status.success(), "--dump: {}", stderr_of(&out));
+    let ledger = path("ledger.jsonl");
+    let record = lp_obs::TrendRecord {
+        bench: "eembc.matrix01".to_string(),
+        scale: "test".to_string(),
+        engine: "bc".to_string(),
+        label: String::new(),
+        reps: 1,
+        unix_ms: 0,
+        machine: "0000000000000000".to_string(),
+        profile_mips: 1.0,
+        interp_mips: 2.0,
+        slowdown: 2.0,
+        journal_overhead: 0.0,
+        counters: Vec::new(),
+    };
+    lp_obs::trend::append_ledger(std::path::Path::new(&ledger), &record).unwrap();
+    let modes: [&[&str]; 5] = [
+        &["--dump", "eembc.matrix01"],
+        &["--analyze", "eembc.matrix01"],
+        &["diff", &snap, &snap],
+        &["audit", &snap],
+        &["trend", "--ledger", &ledger, "--check"],
+    ];
+    for (i, mode) in modes.into_iter().enumerate() {
+        let files = [
+            ("--trace-out", path(&format!("trace-{i}.json"))),
+            ("--snapshot-out", path(&format!("snap-{i}.json"))),
+            ("--flight-out", path(&format!("flight-{i}.json"))),
+        ];
+        let mut args = mode.to_vec();
+        for (flag, file) in &files {
+            args.extend([*flag, file.as_str()]);
+        }
+        let out = run(&args);
+        assert!(out.status.success(), "{mode:?}: {}", stderr_of(&out));
+        for (flag, file) in &files {
+            assert!(
+                std::path::Path::new(file).is_file(),
+                "{mode:?} ignored {flag}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_scale_word_is_an_operand_where_no_scale_is_read() {
+    // A snapshot file named `test` reaches `audit` and `diff` instead
+    // of being taken as the scale.
+    let dir = scratch_dir("scale-word");
+    let in_dir = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_lpstudy"))
+            .args(args)
+            .current_dir(&dir)
+            .env("LP_LOG", "off")
+            .env_remove("LP_PROFILE_CACHE")
+            .env_remove("LP_ENGINE")
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn lpstudy {args:?}: {e}"))
+    };
+    let out = in_dir(&["--dump", "eembc.matrix01", "--snapshot-out", "test"]);
+    assert!(out.status.success(), "--dump: {}", stderr_of(&out));
+    let out = in_dir(&["audit", "test"]);
+    assert!(out.status.success(), "audit test: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\naudit: "), "audit test: {stdout}");
+    let out = in_dir(&["diff", "test", "test"]);
+    assert!(out.status.success(), "diff test test: {}", stderr_of(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).ends_with("0 significant divergence(s)\n"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,6 +25,7 @@ fn record(profile_mips: f64, seq: u64) -> TrendRecord {
     TrendRecord {
         bench: "eembc.matrix01".to_string(),
         scale: "test".to_string(),
+        engine: "bc".to_string(),
         label: String::new(),
         reps: 3,
         unix_ms: 1_700_000_000_000 + seq,
@@ -126,6 +127,7 @@ fn a_measuring_run_appends_one_self_describing_record() {
     assert_eq!(rec.scale, "test");
     assert_eq!(rec.label, "unit test");
     assert_eq!(rec.reps, 1);
+    assert_eq!(rec.engine, "bc", "the default engine is recorded");
     assert!(rec.profile_mips > 0.0, "throughput missing: {rec:?}");
     assert!(
         rec.interp_mips > rec.profile_mips,
@@ -150,6 +152,54 @@ fn a_measuring_run_appends_one_self_describing_record() {
     let records = read_ledger(&ledger).unwrap();
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].series_key(), records[1].series_key());
+
+    let _ = std::fs::remove_file(&ledger);
+}
+
+/// Tree and bc runs of one bench form separate series: a tree run
+/// appended after three bc runs is not judged against the faster
+/// engine's band, so the gate passes instead of reporting a regression.
+#[test]
+fn a_tree_run_after_bc_runs_is_not_a_regression() {
+    let ledger = tmp("trend-engines.jsonl");
+    let _ = std::fs::remove_file(&ledger);
+    let path = ledger.to_str().unwrap();
+    for engine in ["bc", "bc", "bc", "tree"] {
+        let out = lpstudy(&[
+            "bench",
+            "small",
+            "--engine",
+            engine,
+            "--bench",
+            "eembc.matrix01",
+            "--reps",
+            "3",
+            "--trend",
+            path,
+            "--quiet",
+        ]);
+        assert!(
+            out.status.success(),
+            "lpstudy bench --engine {engine} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let records = read_ledger(&ledger).unwrap();
+    let engines: Vec<&str> = records.iter().map(|r| r.engine.as_str()).collect();
+    assert_eq!(engines, ["bc", "bc", "bc", "tree"]);
+    assert_ne!(records[2].series_key(), records[3].series_key());
+
+    let out = lpstudy(&["trend", "--ledger", path, "--check"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "engines share a series: {stdout}"
+    );
+    assert!(
+        stdout.contains("2 series"),
+        "one series per engine: {stdout}"
+    );
 
     let _ = std::fs::remove_file(&ledger);
 }

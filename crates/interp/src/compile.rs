@@ -36,8 +36,7 @@ pub(crate) fn compile_module(module: &Module) -> CompiledModule {
     compiled
 }
 
-/// Proves, once per compile, the invariants the silent dispatch loop's
-/// unchecked accesses rely on (`bytecode::exec_frame_silent`): every
+/// Proves, once per compile, that the bytecode is well formed: every
 /// operand index is below the owning function's register-file length,
 /// every edge index and edge target is in range, every phi move stays
 /// inside the register file, every direct call names an existing

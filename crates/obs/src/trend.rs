@@ -103,6 +103,9 @@ pub struct TrendRecord {
     pub bench: String,
     /// Workload scale (`test` / `small` / `default`).
     pub scale: String,
+    /// Execution engine the run measured (`tree` / `bc`); empty for a
+    /// record written before the field existed.
+    pub engine: String,
     /// Free-form `--label`, empty when not given.
     pub label: String,
     /// Repetitions the point estimates were computed over.
@@ -125,11 +128,15 @@ pub struct TrendRecord {
 }
 
 impl TrendRecord {
-    /// Records belong to the same series when bench, scale, and machine
-    /// all match — the only axes along which throughput is comparable.
+    /// Records belong to the same series when bench, scale, engine and
+    /// machine all match — the only axes along which throughput is
+    /// comparable. A record without an engine forms its own series.
     #[must_use]
     pub fn series_key(&self) -> String {
-        format!("{}|{}|{}", self.bench, self.scale, self.machine)
+        format!(
+            "{}|{}|{}|{}",
+            self.bench, self.scale, self.engine, self.machine
+        )
     }
 
     /// One JSONL line (no trailing newline).
@@ -143,6 +150,8 @@ impl TrendRecord {
         w.string(&self.bench);
         w.key("scale");
         w.string(&self.scale);
+        w.key("engine");
+        w.string(&self.engine);
         w.key("label");
         w.string(&self.label);
         w.key("reps");
@@ -215,6 +224,7 @@ impl TrendRecord {
         Ok(TrendRecord {
             bench: s("bench")?,
             scale: s("scale")?,
+            engine: s("engine").unwrap_or_default(),
             label: s("label")?,
             reps: u("reps")?,
             unix_ms: u("unix_ms")?,
@@ -377,6 +387,7 @@ mod tests {
         TrendRecord {
             bench: bench.to_string(),
             scale: "small".to_string(),
+            engine: "bc".to_string(),
             label: String::new(),
             reps: 5,
             unix_ms: 1_700_000_000_000,
@@ -420,6 +431,7 @@ mod tests {
         crate::export::validate_json(&line).unwrap();
         let back = TrendRecord::from_json(&line).unwrap();
         assert_eq!(back.bench, r.bench);
+        assert_eq!(back.engine, r.engine);
         assert_eq!(back.machine, r.machine);
         assert_eq!(back.counters, r.counters);
         assert!((back.profile_mips - r.profile_mips).abs() < 1e-3);
@@ -476,6 +488,33 @@ mod tests {
             other => panic!("expected InsufficientHistory, got {other:?}"),
         }
         assert!(check_latest(&[], DEFAULT_WINDOW, DEFAULT_MIN_HISTORY).is_err());
+    }
+
+    #[test]
+    fn series_are_split_by_engine_and_legacy_records_stand_alone() {
+        // Three bc runs, then one tree run of the same bench: the tree
+        // run has no history of its own, so the slower engine is not
+        // judged against the faster one's band.
+        let mut records: Vec<TrendRecord> =
+            [36.9, 37.1, 37.0].iter().map(|&m| rec(m, "m")).collect();
+        let mut tree = rec(29.2, "m");
+        tree.engine = "tree".to_string();
+        records.push(tree);
+        let v = check_latest(&records, DEFAULT_WINDOW, DEFAULT_MIN_HISTORY).unwrap();
+        assert_eq!(
+            v,
+            Verdict::InsufficientHistory {
+                history: 0,
+                needed: DEFAULT_MIN_HISTORY
+            }
+        );
+        // A line written before the field existed parses with an empty
+        // engine and so keys a series apart from both engines.
+        let line = rec(29.2, "m").to_json().replace("\"engine\":\"bc\",", "");
+        let legacy = TrendRecord::from_json(&line).unwrap();
+        assert_eq!(legacy.engine, "");
+        assert_ne!(legacy.series_key(), records[0].series_key());
+        assert_ne!(legacy.series_key(), records[3].series_key());
     }
 
     #[test]

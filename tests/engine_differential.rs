@@ -309,9 +309,9 @@ fn witnessed_profile(module: &Module, engine: Engine) -> (Vec<u8>, String) {
 /// under tree and bc.
 ///
 /// The witnessed run is also replay's serial reference, so under each
-/// engine it must execute exactly as an unobserved `NullSink` run does
-/// (the silent loop under bc): same final memory image, captured
-/// output, return value and dynamic cost.
+/// engine it must execute exactly as an unobserved `NullSink` run does:
+/// same final memory image, captured output, return value and dynamic
+/// cost.
 #[test]
 fn suite_witnessed_profiles_match_across_engines() {
     for b in lp_suite::registry() {
@@ -396,10 +396,10 @@ proptest! {
 
     /// Fuel fidelity: every budget from starving to ample produces the
     /// same outcome on both engines — the same `FuelExhausted` when the
-    /// budget runs out (the silent loop's block-granular precharge plus
-    /// `Exec::run`'s exact re-run must reproduce per-instruction
-    /// exhaustion), the same trap when the trap fires first, and the
-    /// same result and cost when the budget suffices.
+    /// budget runs out (a plain `NullSink` bc run charges fuel per
+    /// instruction, so it exhausts at the tree walk's exact point), the
+    /// same trap when the trap fires first, and the same result and cost
+    /// when the budget suffices.
     #[test]
     fn fuel_budgets_exhaust_identically(n in 5i64..30, budget in 1u64..400) {
         let module = div_trap_kernel(n, n / 2);
